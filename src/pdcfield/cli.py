@@ -146,11 +146,8 @@ def cmd_image(args) -> int:
         model, x, y, noise=args.noise, seed=args.seed, exposure=args.exposure
     )
     out = _outdir(args)
-    rows = [
-        [x[i] * 1e3, y[j] * 1e3, image.values[j, i]]
-        for j in range(y.size)
-        for i in range(x.size)
-    ]
+    XX, YY = np.meshgrid(x * 1e3, y * 1e3)  # row-major: x varies fastest
+    rows = zip(XX.ravel().tolist(), YY.ravel().tolist(), image.values.ravel().tolist())
     write_csv(out / "image.csv", ["x_mm", "y_mm", "intensity"], rows)
     print(f"wrote {out / 'image.csv'}")
     return 0
@@ -160,16 +157,20 @@ def _read_image(path) -> IntensityImage:
     header, rows = read_csv(path)
     if header != ["x_mm", "y_mm", "intensity"]:
         raise ConfigError(f"{path}: expected header x_mm,y_mm,intensity")
-    arr = np.asarray(rows)
-    x = np.unique(arr[:, 0]) * 1e-3
-    y = np.unique(arr[:, 1]) * 1e-3
-    values = np.full((y.size, x.size), np.nan)
-    xi = np.searchsorted(x, arr[:, 0] * 1e-3)
-    yi = np.searchsorted(y, arr[:, 1] * 1e-3)
-    values[yi, xi] = arr[:, 2]
-    if np.any(np.isnan(values)):
+    arr = np.array(rows, dtype=float)
+    x, xi = np.unique(arr[:, 0], return_inverse=True)
+    y, yi = np.unique(arr[:, 1], return_inverse=True)
+    cell = yi * x.size + xi
+    filled = np.zeros(x.size * y.size, dtype=bool)
+    filled[cell] = True
+    if cell.size != filled.size or not filled.all():  # a missing or repeated pixel
         raise ConfigError(f"{path}: image grid is not complete/regular")
-    return IntensityImage(x=x, y=y, values=values)
+    values = np.empty(filled.size)
+    values[cell] = arr[:, 2]
+    try:
+        return IntensityImage(x=x * 1e-3, y=y * 1e-3, values=values.reshape(y.size, x.size))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_fit(args) -> int:

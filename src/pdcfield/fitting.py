@@ -1,9 +1,15 @@
 """Combined intensity model, synthetic images and parameter recovery.
 
 The forward model adds the stimulated field (seed plus leading idler by
-default) and the spontaneous background.  Fitting is weighted nonlinear
-least squares with a damped Gauss-Newton iteration and purely numeric
-Jacobians, recovering any subset of the gain parameter, the seed photon
+default) and the spontaneous background.  Both are separable in the seed
+photon number n and the gain parameter xi,
+
+    I(x; n, xi) = n * P_x(xi) + xi^2 * d(x),
+
+with P_x a polynomial in xi, so one set of basis images per geometry
+gives every (n, xi) evaluation and its derivatives by array arithmetic.
+Fitting is weighted nonlinear least squares with a damped Gauss-Newton
+iteration, recovering any subset of the gain parameter, the seed photon
 number and simple geometry parameters.
 """
 
@@ -14,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig, with_overrides
+from .config import ConfigError, ExperimentConfig, with_overrides
 from .kernels import FieldKernels
-from .stimulated import stimulated_intensity
+from .stimulated import field_polynomials, polynomial_intensity, stimulated_intensity
 from .background import background_intensity
 
 FIT_PARAMETERS = ("seed_photons", "squeezing", "seed_waist", "pdc_angle")
@@ -49,8 +55,47 @@ class IntensityImage:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.y.size, self.x.size):
             raise ValueError("image shape does not match axes")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("intensity values must be finite")
         if np.any(self.values < 0):
             raise ValueError("intensity values must be non-negative")
+
+
+@dataclass
+class SeparableBasis:
+    """Basis images of one geometry at seed photons n = 1 and gain xi = 1.
+
+    ``intensity(n, xi)`` is n * gain * sum_b |A_b(xi)|^2 + xi^2 * d, where
+    ``polys`` holds the field polynomials A_b and ``background`` holds d
+    (None without background).
+    """
+
+    polys: list
+    gain: float                 # detector gain, |amplitude|^2 to photon counts
+    background: np.ndarray | None
+
+    @staticmethod
+    def _check(photons, squeezing):
+        if photons < 0:
+            raise ConfigError("'seed_photons' must be non-negative")
+        if squeezing < 0:
+            raise ConfigError("'crystal.squeezing' must be non-negative")
+
+    def intensity(self, photons: float, squeezing: float) -> np.ndarray:
+        self._check(photons, squeezing)
+        value = photons * self.gain * polynomial_intensity(self.polys, squeezing)
+        if self.background is not None:
+            value = value + squeezing**2 * self.background
+        return value
+
+    def derivatives(self, photons: float, squeezing: float):
+        """Partial derivatives of the intensity in n and in xi."""
+        self._check(photons, squeezing)
+        per_photon, slope = polynomial_intensity(self.polys, squeezing, derivative=True)
+        d_squeezing = photons * self.gain * slope
+        if self.background is not None:
+            d_squeezing = d_squeezing + 2.0 * squeezing * self.background
+        return self.gain * per_photon, d_squeezing
 
 
 class ForwardModel:
@@ -64,15 +109,20 @@ class ForwardModel:
         self.m_max = m_max
         self.include_background = include_background
 
+    def basis(self, X0, **geometry) -> SeparableBasis:
+        """Basis images at X0 for overrides other than n and xi."""
+        kern = FieldKernels(with_overrides(self.cfg, seed_photons=1.0, squeezing=1.0,
+                                           **geometry))
+        polys = field_polynomials(kern, X0, mode=self.mode, model=self.model,
+                                  m_max=self.m_max)
+        background = background_intensity(kern, X0) if self.include_background else None
+        return SeparableBasis(polys, kern.q.detector_gain, background)
+
     def intensity(self, X0, **overrides) -> np.ndarray:
-        cfg = with_overrides(self.cfg, **overrides) if overrides else self.cfg
-        kern = FieldKernels(cfg)
-        stim = stimulated_intensity(
-            kern, X0, mode=self.mode, model=self.model, m_max=self.m_max
-        )
-        if not self.include_background:
-            return stim
-        return stim + background_intensity(kern, X0)
+        photons = overrides.pop("seed_photons", self.cfg.seed.photons)
+        squeezing = (overrides.pop("squeezing") if "squeezing" in overrides
+                     else self.cfg.derive().squeezing)
+        return self.basis(X0, **overrides).intensity(photons, squeezing)
 
 
 def synthesize_image(
@@ -132,9 +182,14 @@ def fit_parameters(
     """Recover parameters from an intensity image.
 
     Weighted least squares with per-pixel weights 1/max(counts_model, 1)
-    (shot-noise variance), a damped Gauss-Newton loop and central-difference
-    Jacobians with a 1e-4 relative step.  ``free`` names the parameters to
-    vary; everything else is pinned at the config (or ``fixed``) values.
+    (shot-noise variance) and a damped Gauss-Newton loop.  Every evaluation
+    reuses the separable basis of the current geometry, so a fit of seed
+    photons and squeezing builds it once and takes their Jacobian columns
+    analytically; ``seed_waist`` and ``pdc_angle`` columns are central
+    differences with a 1e-4 relative step, each side a new basis.  ``free``
+    names the parameters to vary; everything else is pinned at the config
+    (or ``fixed``) values.  Raises ValueError if the model counts are not
+    finite.
     """
     free = tuple(free)
     if not free:
@@ -165,10 +220,22 @@ def fit_parameters(
     data = image.values.ravel()
     scale = image.exposure
 
+    latest = {}  # geometry and basis of the latest evaluation
+
+    def basis_at(theta):
+        geometry = {**fixed, **dict(zip(free, theta))}
+        photons = geometry.pop("seed_photons", defaults["seed_photons"])
+        squeezing = geometry.pop("squeezing", defaults["squeezing"])
+        if latest.get("geometry") != geometry:
+            latest.update(geometry=geometry, basis=model.basis(X0, **geometry))
+        return latest["basis"], photons, squeezing
+
     def model_counts(theta):
-        overrides = dict(fixed)
-        overrides.update({name: val for name, val in zip(free, theta)})
-        return model.intensity(X0, **overrides).ravel() * scale
+        basis, photons, squeezing = basis_at(theta)
+        mu = basis.intensity(photons, squeezing).ravel() * scale
+        if not np.all(np.isfinite(mu)):
+            raise ValueError(f"model counts are not finite at {dict(zip(free, theta))}")
+        return mu
 
     def clip(theta):
         out = []
@@ -189,8 +256,14 @@ def fit_parameters(
     iterations = 0
     jtj = None
     for iterations in range(1, max_iterations + 1):
+        basis, photons, squeezing = basis_at(theta)
+        d_photons, d_squeezing = basis.derivatives(photons, squeezing)
+        analytic = {"seed_photons": d_photons, "squeezing": d_squeezing}
         jac = np.empty((data.size, len(free)))
         for j, name in enumerate(free):
+            if name in analytic:
+                jac[:, j] = np.ravel(analytic[name]) * scale
+                continue
             step = 1e-4 * max(abs(theta[j]), 1e-12)
             tp, tm = theta.copy(), theta.copy()
             tp[j] += step

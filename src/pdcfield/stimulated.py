@@ -224,13 +224,64 @@ def optimal_seed_geometry(kern: FieldKernels) -> dict:
     }
 
 
+def field_polynomials(
+    kern: FieldKernels, X0, mode: str = "coherent", model: str = "tca", m_max: int = 6
+):
+    """Stimulated output field at output-plane positions X0 as polynomials in
+    the gain ratio t = squeezing / ``kern``'s squeezing.
+
+    Returns one coefficient list per intensity contribution: a single list
+    for the coherent sum signal + idler, the signal and the idler lists for
+    ``mode='separate'``.  Entry j multiplies t**j, so t = 1 is the field of
+    ``kern`` itself; a scalar 0 stands for a power the branch lacks.
+    """
+    if mode not in ("coherent", "separate"):
+        raise ValueError("mode must be 'coherent' or 'separate'")
+    q = kern.q
+    K = np.asarray(X0, dtype=float) * (q.k_deg / kern.cfg.detector.focal_length)
+    omega = q.omega_deg
+    if model == "tca":
+        signal = [kern.seed_profile(K, omega), 0.0]
+        idler = [0.0, -zeta2_tca(kern, K, omega)]  # total field subtracts the idler
+    elif model == "orders":
+        # order j carries (2*squeezing)**j; the total field subtracts the idler
+        signal, idler = [], []
+        for t in zeta_orders(kern, m_max):
+            amp = t(K, omega)
+            signal.append(amp if t.branch == "signal" else 0.0)
+            idler.append(-amp if t.branch == "idler" else 0.0)
+    else:
+        raise ValueError("model must be 'tca' or 'orders'")
+    if mode == "coherent":
+        return [[s + i for s, i in zip(signal, idler)]]
+    return [signal, idler]
+
+
+def polynomial_intensity(polys, t: float, derivative: bool = False):
+    """Sum of |A(t)|^2 over the coefficient lists of ``field_polynomials``.
+
+    Horner's rule in t; with ``derivative`` also returns d/dt of the sum,
+    2 Re(conj(A) A') per list.
+    """
+    value = slope = 0.0
+    for coeffs in polys:
+        amp, d_amp = coeffs[-1], 0.0
+        for c in reversed(coeffs[:-1]):
+            if derivative:
+                d_amp = d_amp * t + amp
+            amp = amp * t + c
+        value = value + (np.square(amp.real) + np.square(amp.imag))
+        if derivative:
+            slope = slope + 2.0 * (amp.real * d_amp.real + amp.imag * d_amp.imag)
+    return (value, slope) if derivative else value
+
+
 def stimulated_intensity(
     kern: FieldKernels,
     X0,
     mode: str = "coherent",
     model: str = "tca",
     m_max: int = 6,
-    _terms=None,
 ):
     """Mean photon count of the stimulated output at output-plane position X0.
 
@@ -239,20 +290,5 @@ def stimulated_intensity(
     ``mode`` selects the coherent combination |signal - idler|^2 (default)
     or the separate sum |signal|^2 + |idler|^2.
     """
-    if mode not in ("coherent", "separate"):
-        raise ValueError("mode must be 'coherent' or 'separate'")
-    q = kern.q
-    K = np.asarray(X0, dtype=float) * (q.k_deg / kern.cfg.detector.focal_length)
-    omega = q.omega_deg
-    if model == "tca":
-        signal = kern.seed_profile(K, omega)
-        idler = -zeta2_tca(kern, K, omega)  # total field subtracts the idler branch
-    elif model == "orders":
-        terms = _terms if _terms is not None else zeta_orders(kern, m_max)
-        signal, z2 = zeta_branches(terms, K, omega)
-        idler = -z2
-    else:
-        raise ValueError("model must be 'tca' or 'orders'")
-    if mode == "coherent":
-        return q.detector_gain * np.abs(signal + idler) ** 2
-    return q.detector_gain * (np.abs(signal) ** 2 + np.abs(idler) ** 2)
+    polys = field_polynomials(kern, X0, mode=mode, model=model, m_max=m_max)
+    return kern.q.detector_gain * polynomial_intensity(polys, 1.0)

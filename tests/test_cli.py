@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pdcfield.cli import main, _read_image
+from pdcfield.config import ConfigError, load_config_file
+from pdcfield.fitting import ForwardModel, synthesize_image
 from pdcfield.plotio import write_csv, read_csv, render_plot
 
 CONFIG = """
@@ -166,7 +168,50 @@ def test_fit_round_trip_via_cli(tmp_path, config_path):
 def test_read_image_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    from pdcfield.config import ConfigError
-
     with pytest.raises(ConfigError):
         _read_image(path)
+
+
+def test_image_csv_matches_per_row_writer(tmp_path, config_path):
+    assert main([
+        "--outdir", str(tmp_path), "image", "--config", config_path,
+        "--nx", "96", "--ny", "24", "--noise", "poisson", "--seed", "9",
+        "--exposure", "40", "--no-svg",
+    ]) == 0
+    half = 1.5e-3
+    x = np.linspace(-half, half, 96)
+    y = np.linspace(-half * 24 / 96, half * 24 / 96, 24)
+    image = synthesize_image(
+        ForwardModel(load_config_file(config_path)), x, y, noise="poisson", seed=9,
+        exposure=40.0,
+    )
+    rows = [
+        [x[i] * 1e3, y[j] * 1e3, image.values[j, i]]
+        for j in range(y.size)
+        for i in range(x.size)
+    ]
+    ref = write_csv(tmp_path / "reference.csv", ["x_mm", "y_mm", "intensity"], rows)
+    assert (tmp_path / "image.csv").read_bytes() == ref.read_bytes()
+    read = _read_image(tmp_path / "image.csv")
+    assert np.array_equal(read.values, image.values)
+    assert np.allclose(read.x, x, rtol=1e-11) and np.allclose(read.y, y, rtol=1e-11)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_rejects_non_finite_pixel(tmp_path, config_path, bad):
+    assert main([
+        "--outdir", str(tmp_path), "image", "--config", config_path,
+        "--nx", "8", "--ny", "4", "--no-svg",
+    ]) == 0
+    lines = (tmp_path / "image.csv").read_text().splitlines()
+    x_mm, y_mm, _ = lines[5].split(",")
+    lines[5] = f"{x_mm},{y_mm},{bad}"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="finite"):
+        _read_image(path)
+    code = main([
+        "--outdir", str(tmp_path), "fit", "--config", config_path,
+        "--image", str(path), "--no-svg",
+    ])
+    assert code == 2

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pdcfield.config import with_overrides
+import pdcfield.fitting
+from pdcfield.config import ConfigError, with_overrides
 from pdcfield.kernels import FieldKernels
 from pdcfield.fitting import (
     ForwardModel,
     IntensityImage,
+    SeparableBasis,
     combined_intensity,
     synthesize_image,
     fit_parameters,
 )
-from pdcfield.stimulated import zeta2_tca
+from pdcfield.stimulated import zeta2_tca, zeta_branches, zeta_orders
 from pdcfield.background import background_intensity, background_radial
 
 
@@ -81,6 +85,11 @@ def test_image_validation():
         IntensityImage(x=np.arange(3.0), y=np.arange(2.0), values=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         IntensityImage(x=np.arange(3.0), y=np.arange(2.0), values=-np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        values = np.ones((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            IntensityImage(x=np.arange(3.0), y=np.arange(2.0), values=values)
 
 
 def test_component_scaling(combined_cfg):
@@ -225,3 +234,102 @@ def test_separate_exposures_consistent(combined_cfg, axes):
     assert fit_photons.parameters["seed_photons"] == pytest.approx(
         joint.parameters["seed_photons"], abs=max(sigma, 0.2)
     )
+
+
+def _direct_intensity(cfg, X0, mode, model):
+    """Kernels built at the config's own (n, xi), each branch summed as is."""
+    kern = FieldKernels(cfg)
+    q = kern.q
+    K = X0 * (q.k_deg / cfg.detector.focal_length)
+    if model == "tca":
+        signal = kern.seed_profile(K, q.omega_deg)
+        idler = -zeta2_tca(kern, K, q.omega_deg)
+    else:
+        signal, z2 = zeta_branches(zeta_orders(kern, 6), K, q.omega_deg)
+        idler = -z2
+    if mode == "coherent":
+        stim = np.abs(signal + idler) ** 2
+    else:
+        stim = np.abs(signal) ** 2 + np.abs(idler) ** 2
+    return q.detector_gain * stim + background_intensity(kern, X0)
+
+
+@pytest.fixture(scope="module")
+def overlap_cfg(combined_cfg):
+    # a small seed tilt overlaps signal and idler, and a seed phase keeps
+    # their cross term from vanishing, so the two modes differ
+    cfg = with_overrides(combined_cfg, g_factor=0.05)
+    return replace(cfg, seed=replace(cfg.seed, phase=0.4))
+
+
+@pytest.mark.parametrize("model_name", ["tca", "orders"])
+@pytest.mark.parametrize("mode", ["coherent", "separate"])
+def test_basis_matches_direct_evaluation(overlap_cfg, axes, model_name, mode):
+    x, y = axes
+    X0 = np.stack(np.meshgrid(x, y), axis=-1)
+    model = ForwardModel(overlap_cfg, mode=mode, model=model_name, m_max=6)
+    for photons in (0.0, 4.0):
+        for xi in (0.0, 0.3, 1.0, 2.2):
+            direct = _direct_intensity(
+                with_overrides(overlap_cfg, seed_photons=photons, squeezing=xi),
+                X0, mode, model_name,
+            )
+            basis = model.intensity(X0, seed_photons=photons, squeezing=xi)
+            scale = max(np.max(direct), 1e-300)
+            assert np.max(np.abs(basis - direct)) <= 1e-12 * scale, (photons, xi)
+    other = "separate" if mode == "coherent" else "coherent"
+    assert not np.allclose(
+        model.intensity(X0), _direct_intensity(overlap_cfg, X0, other, model_name)
+    )
+
+
+@pytest.mark.parametrize("model_name", ["tca", "orders"])
+@pytest.mark.parametrize("mode", ["coherent", "separate"])
+def test_basis_jacobian_matches_central_differences(overlap_cfg, axes, model_name, mode):
+    x, y = axes
+    X0 = np.stack(np.meshgrid(x, y), axis=-1)
+    basis = ForwardModel(overlap_cfg, mode=mode, model=model_name).basis(X0)
+    assert isinstance(basis, SeparableBasis)
+    photons, xi = 3.0, 0.8
+    d_photons, d_xi = basis.derivatives(photons, xi)
+    h_n, h_xi = 1e-4 * photons, 1e-4 * xi
+    num_n = (basis.intensity(photons + h_n, xi) - basis.intensity(photons - h_n, xi)) / (2 * h_n)
+    num_xi = (basis.intensity(photons, xi + h_xi) - basis.intensity(photons, xi - h_xi)) / (
+        2 * h_xi
+    )
+    assert np.max(np.abs(d_photons - num_n)) <= 1e-7 * np.max(np.abs(num_n))
+    assert np.max(np.abs(d_xi - num_xi)) <= 1e-7 * np.max(np.abs(num_xi))
+
+
+def test_negative_photons_and_gain_rejected(model, axes):
+    x, y = axes
+    X0 = np.stack(np.meshgrid(x, y), axis=-1)
+    with pytest.raises(ConfigError):
+        model.intensity(X0, seed_photons=-1)
+    with pytest.raises(ConfigError):
+        model.intensity(X0, squeezing=-0.5)
+
+
+def test_fit_builds_kernels_once(model, axes, monkeypatch):
+    x, y = axes
+    img = synthesize_image(model, x, y, noise="poisson", seed=5, exposure=60.0)
+    builds = []
+
+    def counting(cfg, *args, **kwargs):
+        builds.append(cfg)
+        return FieldKernels(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(pdcfield.fitting, "FieldKernels", counting)
+    result = fit_parameters(model, img, init={"seed_photons": 3.0, "squeezing": 0.8})
+    assert result.converged
+    assert len(builds) == 1
+
+
+def test_non_finite_model_rejected(model, axes, monkeypatch):
+    x, y = axes
+    img = synthesize_image(model, x, y, noise="poisson", seed=5, exposure=60.0)
+    monkeypatch.setattr(
+        SeparableBasis, "intensity", lambda self, photons, squeezing: np.full(img.values.shape, np.nan)
+    )
+    with pytest.raises(ValueError, match="not finite"):
+        fit_parameters(model, img)
