@@ -38,7 +38,6 @@ from .oracle import (
     QuadratureError,
     build_AB,
     build_grid,
-    bogoliubov_defect,
     default_grid,
     diamond_contract,
     identity_kernel,

@@ -53,18 +53,31 @@ class ContractedKernel:
     peak_magnitude: float       # |value| on the kernel peak at degeneracy
 
     def __call__(self, K1, K2, omega1, omega2):
-        m = self.order
-        omega1 = np.asarray(omega1, dtype=float)
-        omega2 = np.asarray(omega2, dtype=float)
-        if self.parity == "odd":
-            gauss = np.exp(-0.25 * self.gauss_width**2 * _norm_sq(np.asarray(K1) + np.asarray(K2)))
-            spectral = gaussian_spectrum(self.omega_pump - omega1 - omega2, self.bandwidth)
-            powers = (omega1 * omega2) ** (0.5 * m)
-        else:
-            gauss = np.exp(-0.25 * self.gauss_width**2 * _norm_sq(np.asarray(K1) - np.asarray(K2)))
-            spectral = gaussian_spectrum(omega1 - omega2, self.bandwidth)
-            powers = (omega1 * (self.omega_pump - omega1)) ** (0.5 * m)
-        return self.prefactor * powers * gauss * spectral
+        exponent, base = _pair_geometry(
+            self.parity, K1, K2, omega1, omega2, self.gauss_width, self.bandwidth, self.omega_pump
+        )
+        spectral_peak = gaussian_spectrum(0.0, self.bandwidth)
+        return self.prefactor * spectral_peak * base**self.order * np.exp(-exponent)
+
+
+def _pair_geometry(parity, K1, K2, omega1, omega2, gauss_width, bandwidth, omega_pump):
+    """Order-independent pieces of a thin-crystal term: the Gaussian
+    exponent of the transverse offset |K1 -/+ K2| and the spectral offset at
+    the given width and bandwidth, and the frequency base whose m-th power
+    an order-m term carries.  Odd orders pair K1 with -K2 and omega2 with
+    the pump's complement of omega1; even orders pair equal modes.
+    """
+    K1 = np.asarray(K1, dtype=float)
+    K2 = np.asarray(K2, dtype=float)
+    omega1 = np.asarray(omega1, dtype=float)
+    omega2 = np.asarray(omega2, dtype=float)
+    if parity == "odd":
+        K2, offset, partner = -K2, omega_pump - omega1 - omega2, omega2
+    else:
+        offset, partner = omega1 - omega2, omega_pump - omega1
+    dx, dy = K1[..., 0] - K2[..., 0], K1[..., 1] - K2[..., 1]
+    exponent = 0.25 * gauss_width**2 * (dx * dx + dy * dy) + offset**2 / (2.0 * bandwidth**2)
+    return exponent, np.sqrt(omega1 * partner)
 
 
 class FieldKernels:
@@ -195,39 +208,41 @@ class FieldKernels:
         """Bogoliubov kernel sums in the thin-crystal limit.
 
         Returns ``(u_smooth, v, info)`` where the full forward kernel is the
-        identity plus ``u_smooth``.  The sums stop once the next term's
-        on-peak magnitude falls below ``tol`` times the running peak sum,
-        capped at ``n_max`` terms per series; ``info`` reports the order and
-        on-peak magnitude of the last included terms.
+        identity plus ``u_smooth`` (real).  The sums stop once the next
+        term's on-peak magnitude falls below ``tol`` times the running peak
+        sum, capped at ``n_max`` terms per series; ``info`` reports the order
+        and on-peak magnitude of the last included terms.
+
+        The pair geometry is evaluated once per series; the order-m term is
+        its on-peak magnitude times (base / omega_deg)**m * exp(-exponent / m).
         """
-        shape = np.broadcast_shapes(
-            _norm_sq(K1).shape, _norm_sq(K2).shape, np.shape(omega1), np.shape(omega2)
-        )
-        u = np.zeros(shape, dtype=complex)
-        v = np.zeros(shape, dtype=complex)
-        phase = np.exp(-1j * self.cfg.pump.phase)
+        p = self.cfg.pump
         info = {"u_order": 0, "v_order": 0, "u_last": 0.0, "v_last": 0.0}
-
-        running_peak = 0.0
-        for n in range(1, n_max + 1):
-            term = self.contracted_kernel(2 * n)
-            contrib_peak = 4.0**-n * term.peak_magnitude
-            if n > 1 and contrib_peak < tol * max(running_peak, 1.0e-300):
-                break
-            u = u + 4.0**-n * term(K1, K2, omega1, omega2)
-            running_peak += contrib_peak
-            info["u_order"] = 2 * n
-            info["u_last"] = contrib_peak
-
-        running_peak = 0.0
-        for n in range(1, n_max + 1):
-            term = self.contracted_kernel(2 * n - 1)
-            contrib_peak = 2.0 * 4.0**-n * term.peak_magnitude
-            if n > 1 and contrib_peak < tol * max(running_peak, 1.0e-300):
-                break
-            v = v + 2.0 * 4.0**-n * term(K1, K2, omega1, omega2)
-            running_peak += contrib_peak
-            info["v_order"] = 2 * n - 1
-            info["v_last"] = contrib_peak
-
-        return u, phase * v, info
+        sums = {}
+        for key, parity, weight in (("u", "even", 1.0), ("v", "odd", 2.0)):
+            exponent, base = _pair_geometry(
+                parity, K1, K2, omega1, omega2, p.waist, p.bandwidth, p.omega
+            )
+            base = base / self.q.omega_deg
+            base_sq = base * base
+            power = base if parity == "odd" else base_sq
+            total = np.zeros(np.shape(exponent))
+            term = np.empty_like(total)
+            running_peak = 0.0
+            for n in range(1, n_max + 1):
+                m = 2 * n - 1 if parity == "odd" else 2 * n
+                contrib_peak = weight * 4.0**-n * self.contracted_kernel(m).peak_magnitude
+                if n > 1 and contrib_peak < tol * max(running_peak, 1.0e-300):
+                    break
+                if n > 1:
+                    power = power * base_sq
+                np.multiply(exponent, -1.0 / m, out=term)
+                np.exp(term, out=term)
+                term *= power
+                term *= contrib_peak
+                total += term
+                running_peak += contrib_peak
+                info[f"{key}_order"] = m
+                info[f"{key}_last"] = contrib_peak
+            sums[key] = total
+        return sums["u"], (-1j * np.exp(-1j * p.phase)) * sums["v"], info

@@ -6,10 +6,12 @@ into weighted matrix algebra, the forward/conjugate kernel pair is
 integrated through the crystal as a matrix ODE, and the leading idler and
 background terms are checked against direct depth quadrature.
 
-The grid symmetry machinery block-diagonalizes every grid operator over
-the square-grid point group.  It changes nothing numerically (verified
-against the plain path in the tests); it only makes the default-size runs
-fast on one core.
+The grid symmetry machinery block-diagonalizes the depth integration and
+the series over the square-grid point group.  It changes nothing
+numerically (verified against the plain path in the tests); it only makes
+the default-size runs fast on one core.  The thin-crystal matrix cosh/sinh
+needs no blocks: its matrix is a Kronecker product of one small factor per
+grid axis, so any grid is diagonalized axis by axis.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class ModeGrid:
     """Tensor-product (Kx, Ky, omega) samples with mode-measure weights.
 
     Flattened index runs omega fastest, then Ky, then Kx.  ``weight``
-    implements the measure d2K domega / (2pi)^3.
+    implements the measure d2K domega / (2pi)^3, the product of the
+    per-axis trapezoid ``axis_weights``.
     """
 
     kx: np.ndarray
@@ -63,14 +66,12 @@ class ModeGrid:
             n = ax.size
             if n != 1 and n < 8:
                 raise ValueError(f"{name} axis needs 1 or >= 8 points, got {n}")
-        wx = _trapezoid_weights(self.kx)
-        wy = _trapezoid_weights(self.ky)
-        ww = _trapezoid_weights(self.omega_axis)
+        self.axis_weights = [_trapezoid_weights(a) for a in (self.kx, self.ky, self.omega_axis)]
         KX, KY, OM = np.meshgrid(self.kx, self.ky, self.omega_axis, indexing="ij")
         self.K = np.stack([KX.ravel(), KY.ravel()], axis=-1)
         self.omega = OM.ravel()
         self.weight = (
-            np.einsum("i,j,k->ijk", wx, wy, ww).ravel() / TWO_PI_CUBED
+            np.einsum("i,j,k->ijk", *self.axis_weights).ravel() / TWO_PI_CUBED
         )
 
     @property
@@ -634,9 +635,6 @@ def series_UV(
     if workspace is None:
         workspace = GridWorkspace(kern, grid, length, symmetry)
     space = workspace.space
-    provider = workspace.provider
-    length = workspace.length
-
     u_blocks, v_blocks = _series_blocks(workspace, order, z_nodes)
     return (
         _plain_from_blocks(grid, space, u_blocks),
@@ -679,15 +677,6 @@ def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
         for s in range(nb):
             target[s] = target[s] + coeff * levels[lvl][s]
     return u_blocks, v_blocks
-
-
-def bogoliubov_defect(U: KernelMatrix, V: KernelMatrix) -> float:
-    """max |U+ <> U - V+ <> V - 1| in the weight-absorbed convention."""
-    u = U.to_weighted().matrix
-    v = V.to_weighted().matrix
-    d = u.conj().T @ u - v.conj().T @ v
-    np.fill_diagonal(d, np.diagonal(d) - 1.0)
-    return float(np.max(np.abs(d)))
 
 
 def build_AB(U: KernelMatrix, V: KernelMatrix) -> tuple[KernelMatrix, KernelMatrix]:
@@ -783,69 +772,63 @@ def ab_consistency_defect(
 # thin-crystal matrix functions (independent route to the kernel sums)
 
 
-def magnitude_tilde(kern: FieldKernels, grid: ModeGrid) -> np.ndarray:
-    """Weight-absorbed pair-kernel magnitude (real symmetric), built lean."""
-    q = kern.q
-    p = kern.cfg.pump
-    K, om, w = grid.K, grid.omega, grid.weight
-    r2 = np.sum(K * K, axis=-1)
-    sum_sq = r2[:, None] + r2[None, :]
-    sum_sq += 2.0 * (np.outer(K[:, 0], K[:, 0]) + np.outer(K[:, 1], K[:, 1]))
-    spectral = np.sqrt(2.0 * math.sqrt(math.pi) / p.bandwidth) * np.exp(
-        -((om[:, None] + om[None, :] - p.omega) ** 2) / (2.0 * p.bandwidth**2)
+def _axis_factors(kern: FieldKernels, grid: ModeGrid, length: float):
+    """Per-axis factors of half the depth-integrated, weight-absorbed
+    pair-kernel magnitude, whose Kronecker product is the grid matrix.
+
+    The magnitude depends on K only through exp(-w^2 |K1 + K2|^2 / 4),
+    which splits into an x and a y factor (the kernel on one axis at
+    degeneracy over its on-axis peak), and the grid weights are a tensor
+    product.
+    """
+    omega_ref = 0.5 * kern.cfg.pump.omega
+    zero = np.zeros(2)
+    peak = kern.bilinear_magnitude(zero, zero, omega_ref, omega_ref)
+    factors = []
+    for component, axis in enumerate((grid.kx, grid.ky)):
+        K = np.zeros((axis.size, 2))
+        K[:, component] = axis
+        factors.append(
+            kern.bilinear_magnitude(K[:, None], K[None, :], omega_ref, omega_ref) / peak
+        )
+    om = grid.omega_axis
+    factors.append(
+        0.5 * length / TWO_PI_CUBED
+        * kern.bilinear_magnitude(zero, zero, om[:, None], om[None, :])
     )
-    amp = q.kernel_prefactor * q.order_gain / kern.cfg.crystal.length
-    sw = np.sqrt(w)
-    out = np.exp(-0.25 * p.waist**2 * sum_sq)
-    out *= spectral
-    out *= amp * np.sqrt(np.outer(om, om))
-    out *= np.outer(sw, sw)
-    return out
+    for factor, weights in zip(factors, grid.axis_weights):
+        factor *= np.sqrt(np.outer(weights, weights))
+    return factors
 
 
 def hyperbolic_matrix_uv(kern: FieldKernels, grid: ModeGrid, length: float | None = None):
     """Matrix cosh/sinh of half the depth-integrated kernel magnitude.
 
-    Returns weight-absorbed real symmetric matrices; their difference of
-    squares is the identity to rounding error.
+    Returns weight-absorbed real symmetric matrices on every mode of the
+    grid; their difference of squares is the identity to rounding error.
     """
-    if length is None:
-        length = kern.cfg.crystal.length
-    mag = 0.5 * length * magnitude_tilde(kern, grid)
-    mag = 0.5 * (mag + mag.T)
-    evals, evecs = np.linalg.eigh(mag)
-    cosh = (evecs * np.cosh(evals)) @ evecs.T
-    sinh = (evecs * np.sinh(evals)) @ evecs.T
-    return cosh, sinh
+    return hyperbolic_uv_subblock(kern, grid, np.arange(grid.size), length)
 
 
 def hyperbolic_uv_subblock(
     kern: FieldKernels, grid: ModeGrid, indices: np.ndarray, length: float | None = None
 ):
-    """cosh/sinh sub-blocks on selected modes, via the point-group sectors.
+    """cosh/sinh sub-blocks on selected modes of any tensor grid.
 
-    Avoids materializing the full matrix functions; the full-grid
-    eigenproblem is solved per invariant block and only the requested
-    rows/columns are reconstructed.
+    The grid matrix is a Kronecker product of per-axis factors, so its
+    eigenvectors and eigenvalues are products of theirs (Van Loan, J.
+    Comput. Appl. Math. 123, 85 (2000)); only the requested rows of the
+    eigenvector matrix are formed, never the full grid matrix.
     """
     if length is None:
         length = kern.cfg.crystal.length
-    mag = 0.5 * length * magnitude_tilde(kern, grid)
-    space = square_grid_blocks(grid)
-    if space is None:
-        cosh, sinh = hyperbolic_matrix_uv(kern, grid, length)
-        return cosh[np.ix_(indices, indices)], sinh[np.ix_(indices, indices)]
-    n_sel = indices.size
-    cosh_sub = np.zeros((n_sel, n_sel))
-    sinh_sub = np.zeros((n_sel, n_sel))
-    for blk, copies in zip(space.project(mag), space.copies):
-        blk = 0.5 * (blk.real + blk.real.T)
-        evals, evecs = np.linalg.eigh(blk)
-        for b in copies:
-            proj = np.asarray(b[indices, :].todense()) @ evecs
-            cosh_sub += (proj * np.cosh(evals)) @ proj.T
-            sinh_sub += (proj * np.sinh(evals)) @ proj.T
-    return cosh_sub, sinh_sub
+    (lx, qx), (ly, qy), (lw, qw) = (
+        np.linalg.eigh(f) for f in _axis_factors(kern, grid, length)
+    )
+    evals = np.einsum("i,j,k->ijk", lx, ly, lw).ravel()
+    ix, iy, iw = np.unravel_index(indices, grid.shape)
+    rows = np.einsum("ai,aj,ak->aijk", qx[ix], qy[iy], qw[iw]).reshape(ix.size, -1)
+    return (rows * np.cosh(evals)) @ rows.T, (rows * np.sinh(evals)) @ rows.T
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _result(name, value, tolerance, t0, note=""):
         value=float(value),
         tolerance=float(tolerance),
         passed=bool(value < tolerance),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         note=note,
     )
 
@@ -118,7 +118,7 @@ def numeric_pair_contraction(kern: FieldKernels, K1, K3, omega1, omega3,
 
 
 def check_spectrum_normalization() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for bw in (1e8, 5e11, 2e13):
         x = np.linspace(-8.0 * bw, 8.0 * bw, 20001)
@@ -129,7 +129,7 @@ def check_spectrum_normalization() -> CheckResult:
 
 def check_prefactor_identity(cfg: ExperimentConfig) -> CheckResult:
     """M0 * M1 against L * |pair amplitude|, each side from raw formulas."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     q = cfg.derive()
     c = 299792458.0
     p, x = cfg.pump, cfg.crystal
@@ -152,7 +152,7 @@ def check_prefactor_identity(cfg: ExperimentConfig) -> CheckResult:
 
 
 def check_mismatch_symmetry(cfg: ExperimentConfig, samples: int = 64) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     kern = FieldKernels(cfg)
     q = kern.q
     rng = np.random.default_rng(7)
@@ -171,7 +171,7 @@ def check_mismatch_symmetry(cfg: ExperimentConfig, samples: int = 64) -> CheckRe
 
 
 def check_kernel_magnitude(cfg: ExperimentConfig, samples: int = 32) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     kern = FieldKernels(cfg)
     q = kern.q
     rng = np.random.default_rng(11)
@@ -192,7 +192,7 @@ def check_kernel_magnitude(cfg: ExperimentConfig, samples: int = 32) -> CheckRes
 
 def check_pair_contraction(n_points: int = 3) -> CheckResult:
     """Numeric conj(H) <> H at zero depth against the order-2 closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = narrowband_reference_config()
     kern = FieldKernels(cfg)
     q = kern.q
@@ -211,7 +211,7 @@ def check_pair_contraction(n_points: int = 3) -> CheckResult:
 
 
 def check_diamond_algebra(cfg: ExperimentConfig) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     kern = FieldKernels(cfg)
     grid = oracle.default_grid(cfg, k_count=9, omega_count=9)
     ops = oracle.GridOperators(kern, grid)
@@ -235,7 +235,7 @@ def check_bogoliubov_constraint(
     squeezing: float = 0.2, k_count: int = 17, omega_count: int = 9, steps: int = 64
 ):
     """Returns the check plus the solution blocks and workspace for reuse."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = thin_reference_config(squeezing)
     kern = FieldKernels(cfg)
     grid = oracle.build_grid(
@@ -261,7 +261,7 @@ def check_series_vs_ode(uv_blocks=None, workspace=None) -> CheckResult:
     """Order-4 series against the depth integration; the defect is the
     largest entry difference of the weight-absorbed kernels (the natural
     dimensionless scale, on which the forward kernel is near identity)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if workspace is None:
         cfg = thin_reference_config(0.2)
         kern = FieldKernels(cfg)
@@ -289,7 +289,7 @@ def check_hyperbolic_sums(squeezing: float = 0.2) -> CheckResult:
     their power series is resolved by the grid, so the comparison runs on
     an interior block of modes with full coverage margins.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = narrowband_reference_config(squeezing)
     kern = FieldKernels(cfg)
     q = kern.q
@@ -338,7 +338,7 @@ def check_hyperbolic_sums(squeezing: float = 0.2) -> CheckResult:
 
 def check_squeezed_kernels() -> CheckResult:
     """Composed squeezed-state kernels: positivity, Hermiticity, depth law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = oracle.build_grid(
@@ -369,7 +369,7 @@ def check_squeezed_kernels() -> CheckResult:
 
 
 def check_uv_product_symmetry() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = oracle.build_grid(
@@ -388,7 +388,7 @@ def check_uv_product_symmetry() -> CheckResult:
 
 def check_zeta_orders_consistency() -> CheckResult:
     """Per-order closed forms against grid contraction of the kernel sums."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = narrowband_reference_config(0.25)
     kern = FieldKernels(cfg)
     q = kern.q
@@ -422,7 +422,7 @@ def check_zeta_orders_consistency() -> CheckResult:
 
 def check_idler_tca(cfg: ExperimentConfig, n_points: int = 9) -> CheckResult:
     """Idler closed form vs direct depth quadrature, L2 over the idler lobe."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     kern = FieldKernels(cfg)
     q = kern.q
     from .config import seed_shift
@@ -440,7 +440,7 @@ def check_idler_tca(cfg: ExperimentConfig, n_points: int = 9) -> CheckResult:
 
 
 def check_background_tca(cfg: ExperimentConfig) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     kern = FieldKernels(cfg)
     q = kern.q
     worst = 0.0
@@ -452,7 +452,7 @@ def check_background_tca(cfg: ExperimentConfig) -> CheckResult:
 
 
 def check_efficiency() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = abs(efficiency_f(0.0, 0.0) - 1.0)
     a = np.linspace(-16.0, 16.0, 20001)
     vals = efficiency_f(a, 0.4)
@@ -477,7 +477,7 @@ def check_efficiency() -> CheckResult:
 
 
 def check_background_crossover(cfg: ExperimentConfig) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     kern = FieldKernels(cfg)
     q = kern.q
     r0sq = q.ring_radius**2

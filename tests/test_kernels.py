@@ -230,6 +230,52 @@ def test_thin_crystal_v_phase():
     assert np.angle(v / expected_phase) == pytest.approx(0.0, abs=1e-12)
 
 
+def termwise_thin_crystal_uv(kern, K1, K2, omega1, omega2, n_max=32, tol=1e-10):
+    """Reference sums: one contracted_kernel(m) evaluation per order."""
+    info = {"u_order": 0, "v_order": 0, "u_last": 0.0, "v_last": 0.0}
+    sums = {"u": 0.0, "v": 0.0}
+    for key, first, weight in (("u", 2, 1.0), ("v", 1, 2.0)):
+        running_peak = 0.0
+        for n in range(1, n_max + 1):
+            term = kern.contracted_kernel(2 * n - 2 + first)
+            contrib_peak = weight * 4.0**-n * term.peak_magnitude
+            if n > 1 and contrib_peak < tol * max(running_peak, 1.0e-300):
+                break
+            sums[key] = sums[key] + weight * 4.0**-n * term(K1, K2, omega1, omega2)
+            running_peak += contrib_peak
+            info[f"{key}_order"] = term.order
+            info[f"{key}_last"] = contrib_peak
+    return sums["u"], np.exp(-1j * kern.cfg.pump.phase) * sums["v"], info
+
+
+def test_thin_crystal_uv_matches_termwise_sum():
+    base = narrowband_reference_config(squeezing=0.4)
+    cfg = ExperimentConfig(
+        pump=PumpConfig(
+            omega=base.pump.omega, bandwidth=base.pump.bandwidth,
+            waist=base.pump.waist, phase=1.3,
+        ),
+        seed=base.seed, crystal=base.crystal, detector=base.detector,
+    )
+    kern = FieldKernels(cfg)
+    q = kern.q
+    rng = np.random.default_rng(9)
+    K = rng.normal(scale=1.5 / cfg.pump.waist, size=(2, 40, 2))
+    w = q.omega_deg + cfg.pump.bandwidth * rng.standard_normal((2, 40))
+    cases = [
+        (K[0, 0], K[1, 0], w[0, 0], w[1, 0]),                             # scalar
+        (K[0][:, None], K[1][None, :], w[0][:, None], w[1][None, :]),      # (N,1)/(1,N)
+        (K[0], K[1], w[0], w[1]),                                          # full arrays
+    ]
+    for K1, K2, w1, w2 in cases:
+        u, v, info = kern.thin_crystal_uv(K1, K2, w1, w2)
+        u_ref, v_ref, info_ref = termwise_thin_crystal_uv(kern, K1, K2, w1, w2)
+        assert np.shape(u) == np.shape(u_ref) and np.shape(v) == np.shape(v_ref)
+        assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+        assert info == info_ref
+
+
 def test_thin_crystal_truncation_info():
     kern = FieldKernels(narrowband_reference_config(squeezing=0.3))
     q = kern.q

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcfield.config import with_overrides
 from pdcfield.kernels import FieldKernels
@@ -215,6 +216,86 @@ def test_hyperbolic_subblock_no_symmetry_fallback():
     b = oracle.hyperbolic_uv_subblock(kern, grid_asym, idx)
     assert np.allclose(a[0], b[0], rtol=1e-5)
     assert np.allclose(a[1], b[1], rtol=1e-5)
+
+
+def dense_hyperbolic(kern, grid):
+    """Reference cosh/sinh: eigh of the full weight-absorbed magnitude."""
+    K, om = grid.K, grid.omega
+    mag = kern.bilinear_magnitude(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
+    sw = np.sqrt(grid.weight)
+    mag = 0.5 * kern.cfg.crystal.length * mag * np.outer(sw, sw)
+    evals, evecs = np.linalg.eigh(0.5 * (mag + mag.T))
+    return (evecs * np.cosh(evals)) @ evecs.T, (evecs * np.sinh(evals)) @ evecs.T
+
+
+def assert_hyperbolic_close(got, ref, rtol=1e-12):
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= rtol * np.max(np.abs(r))
+
+
+def test_hyperbolic_matrix_matches_dense_rectangular_grid():
+    # unequal, off-centre kx and ky axes: no point-group symmetry at all
+    cfg = narrowband_reference_config(0.4)
+    q = cfg.derive()
+    w = cfg.pump.waist
+    grid = oracle.ModeGrid(
+        kx=np.linspace(-5.0 / w, 4.0 / w, 9),
+        ky=np.linspace(-3.0 / w, 6.5 / w, 11),
+        omega_axis=q.omega_deg + np.linspace(-3.0, 4.0, 8) * cfg.pump.bandwidth,
+    )
+    kern = FieldKernels(cfg)
+    assert_hyperbolic_close(oracle.hyperbolic_matrix_uv(kern, grid), dense_hyperbolic(kern, grid))
+
+
+def test_hyperbolic_matrix_matches_dense_single_omega():
+    cfg = narrowband_reference_config(0.4)
+    q = cfg.derive()
+    kern = FieldKernels(cfg)
+    grid = oracle.build_grid(5.0 / cfg.pump.waist, 9, q.omega_deg, 0.0, 1, cfg=cfg)
+    assert_hyperbolic_close(oracle.hyperbolic_matrix_uv(kern, grid), dense_hyperbolic(kern, grid))
+
+
+def test_hyperbolic_subblock_matches_dense_scattered_indices():
+    cfg = narrowband_reference_config(0.4)
+    kern = FieldKernels(cfg)
+    grid = small_grid(cfg, nk=10, nw=9)
+    idx = np.random.default_rng(5).choice(grid.size, size=70, replace=False)
+    cosh, sinh = dense_hyperbolic(kern, grid)
+    assert_hyperbolic_close(
+        oracle.hyperbolic_uv_subblock(kern, grid, idx),
+        (cosh[np.ix_(idx, idx)], sinh[np.ix_(idx, idx)]),
+    )
+
+
+axis_count = st.sampled_from([1, 8, 9, 10, 11, 12])
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    counts=st.tuples(axis_count, axis_count, axis_count),
+    k_lo=st.floats(-8.0, 0.0),
+    k_span=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+    w_lo=st.floats(-6.0, 0.0),
+    w_span=st.floats(0.5, 10.0),
+)
+def test_hyperbolic_factorized_matches_dense_property(counts, k_lo, k_span, w_lo, w_span):
+    cfg = narrowband_reference_config(0.4)
+    q = cfg.derive()
+    w = cfg.pump.waist
+    nx, ny, nw = counts
+
+    def axis(lo, span, n, unit):
+        return (lo + np.linspace(0.0, span, n) if n > 1 else np.array([lo])) * unit
+
+    grid = oracle.ModeGrid(
+        kx=axis(k_lo, k_span[0], nx, 1.0 / w),
+        ky=axis(-k_lo - k_span[1], k_span[1], ny, 1.0 / w),
+        omega_axis=q.omega_deg + axis(w_lo, w_span, nw, cfg.pump.bandwidth),
+    )
+    kern = FieldKernels(cfg)
+    assert_hyperbolic_close(
+        oracle.hyperbolic_matrix_uv(kern, grid), dense_hyperbolic(kern, grid)
+    )
 
 
 def test_constraint_along_trajectory():
