@@ -93,6 +93,8 @@ class FieldKernels:
         self._pair_amplitude = (
             self.q.kernel_prefactor * self.q.order_gain / cfg.crystal.length
         )
+        # constant phase of the pair kernel and of every odd-order term
+        self.pair_phase = -1j * np.exp(-1j * cfg.pump.phase)
 
     # -- beam profiles -------------------------------------------------
 
@@ -150,33 +152,35 @@ class FieldKernels:
         kz2 = np.asarray(self.kz(omega2))
         K1 = np.asarray(K1, dtype=float)
         K2 = np.asarray(K2, dtype=float)
-        rel = K1 / kz1[..., None] - K2 / kz2[..., None]
-        quad = 0.5 * (kz1 * kz2 / (kz1 + kz2)) * np.sum(rel * rel, axis=-1)
+        # one component at a time: (N, 1, 2) and (1, N, 2) inputs never
+        # form an (N, N, 2) array
+        rx = K1[..., 0] / kz1 - K2[..., 0] / kz2
+        ry = K1[..., 1] / kz1 - K2[..., 1] / kz2
+        quad = 0.5 * (kz1 * kz2 / (kz1 + kz2)) * (rx * rx + ry * ry)
         return quad - 0.5 * self.chi(omega1) - 0.5 * self.chi(omega2)
 
     # -- bilinear kernel -----------------------------------------------
 
     def bilinear_kernel(self, K1, K2, omega1, omega2, z=0.0):
-        """Pair-creation kernel between two down-converted modes at depth z."""
-        p = self.cfg.pump
-        omega1 = np.asarray(omega1, dtype=float)
-        omega2 = np.asarray(omega2, dtype=float)
-        amp = self._pair_amplitude * np.exp(-1j * p.phase)
-        envelope = np.exp(-0.25 * p.waist**2 * _norm_sq(np.asarray(K1) + np.asarray(K2)))
-        spectral = gaussian_spectrum(omega1 + omega2 - p.omega, p.bandwidth)
-        phase = np.exp(1j * self.phase_mismatch(K1, K2, omega1, omega2) * z)
-        return -1j * amp * np.sqrt(omega1 * omega2) * spectral * envelope * phase
+        """Pair-creation kernel between two down-converted modes at depth z:
+        ``pair_phase * bilinear_magnitude * exp(i z phase_mismatch)``."""
+        phase = np.exp(1j * z * self.phase_mismatch(K1, K2, omega1, omega2))
+        return self.pair_phase * self.bilinear_magnitude(K1, K2, omega1, omega2) * phase
 
     def bilinear_magnitude(self, K1, K2, omega1, omega2):
         """|bilinear_kernel|; z-independent and elementwise positive."""
         p = self.cfg.pump
+        K1 = np.asarray(K1, dtype=float)
+        K2 = np.asarray(K2, dtype=float)
         omega1 = np.asarray(omega1, dtype=float)
         omega2 = np.asarray(omega2, dtype=float)
+        sx = K1[..., 0] + K2[..., 0]
+        sy = K1[..., 1] + K2[..., 1]
         return (
             self._pair_amplitude
             * np.sqrt(omega1 * omega2)
             * gaussian_spectrum(omega1 + omega2 - p.omega, p.bandwidth)
-            * np.exp(-0.25 * p.waist**2 * _norm_sq(np.asarray(K1) + np.asarray(K2)))
+            * np.exp(-0.25 * p.waist**2 * (sx * sx + sy * sy))
         )
 
     # -- thin-crystal contracted kernels --------------------------------
@@ -245,4 +249,4 @@ class FieldKernels:
                 info[f"{key}_order"] = m
                 info[f"{key}_last"] = contrib_peak
             sums[key] = total
-        return sums["u"], (-1j * np.exp(-1j * p.phase)) * sums["v"], info
+        return sums["u"], self.pair_phase * sums["v"], info

@@ -6,6 +6,11 @@ into weighted matrix algebra, the forward/conjugate kernel pair is
 integrated through the crystal as a matrix ODE, and the leading idler and
 background terms are checked against direct depth quadrature.
 
+The grid pair kernel (``GridOperators``) is sampled from the ``FieldKernels``
+methods, never written out again here.  A depth provider writes the kernel
+blocks at a requested depth into buffers its caller owns; the one RK4
+(``_rk4_blocks``) serves ``solve_UV_ode`` and ``ab_consistency_defect``.
+
 The grid symmetry machinery block-diagonalizes the depth integration and
 the series over the square-grid point group.  It changes nothing
 numerically (verified against the plain path in the tests); it only makes
@@ -191,41 +196,22 @@ class GridOperators:
     """Weight-absorbed pair-kernel matrices on a grid.
 
     The depth dependence factorizes into a fixed complex matrix times an
-    elementwise phase exp(i z Delta); both pieces are precomputed.
+    elementwise phase exp(i z Delta).  Both pieces come from the kernel
+    bundle: ``base`` is ``pair_phase * bilinear_magnitude * sqrt(w_i w_j)``
+    and ``delta`` is ``phase_mismatch`` on every pair of grid modes.
     """
 
     def __init__(self, kern: FieldKernels, grid: ModeGrid):
         self.kern = kern
         self.grid = grid
-        q = kern.q
-        p = kern.cfg.pump
-        K, om, w = grid.K, grid.omega, grid.weight
-
-        kz = np.asarray(kern.kz(om))
-        chi = np.asarray(kern.chi(om))
-        r2 = np.sum(K * K, axis=-1)
-        dot = np.outer(K[:, 0], K[:, 0]) + np.outer(K[:, 1], K[:, 1])
-
-        sum_sq = r2[:, None] + r2[None, :] + 2.0 * dot
-        quad_coeff = 0.5 * np.outer(kz, kz) / (kz[:, None] + kz[None, :])
-        rel_sq = (
-            r2[:, None] / kz[:, None] ** 2
-            + r2[None, :] / kz[None, :] ** 2
-            - 2.0 * dot / np.outer(kz, kz)
-        )
-        self.delta = quad_coeff * rel_sq - 0.5 * (chi[:, None] + chi[None, :])
-
-        bw = p.bandwidth
-        spectral = np.sqrt(2.0 * math.sqrt(math.pi) / bw) * np.exp(
-            -((om[:, None] + om[None, :] - p.omega) ** 2) / (2.0 * bw**2)
-        )
-        amp = q.kernel_prefactor * q.order_gain / kern.cfg.crystal.length
-        sw = np.sqrt(w)
-        magnitude = np.exp(-0.25 * p.waist**2 * sum_sq)
-        magnitude *= spectral
-        magnitude *= amp * np.sqrt(np.outer(om, om))
-        magnitude *= np.outer(sw, sw)
-        self.base = (-1j * np.exp(-1j * p.phase)) * magnitude
+        K1, K2 = grid.K[:, None, :], grid.K[None, :, :]
+        w1, w2 = grid.omega[:, None], grid.omega[None, :]
+        self.delta = kern.phase_mismatch(K1, K2, w1, w2)
+        sw = np.sqrt(grid.weight)
+        magnitude = kern.bilinear_magnitude(K1, K2, w1, w2)
+        magnitude *= sw[:, None]
+        magnitude *= sw[None, :]
+        self.base = kern.pair_phase * magnitude
 
     def htilde(self, z: float) -> np.ndarray:
         """Weight-absorbed pair kernel at depth z."""
@@ -422,27 +408,14 @@ class _TaylorProvider:
         for k in range(1, kmax + 1):
             work *= 1j * ops.delta / k
             self.coeffs.append(space.project(work))
-        self.nblocks = space.nblocks
-        self._scratch = [np.empty_like(c) for c in self.coeffs[0]]
-        self._pool = [
-            [np.empty_like(c) for c in self.coeffs[0]] for _ in range(3)
-        ]
-        self._pool_next = 0
 
-    def blocks(self, z: float):
-        # rotate through a small buffer pool; callers hold at most three
-        # depth samples at a time
-        out = self._pool[self._pool_next]
-        self._pool_next = (self._pool_next + 1) % len(self._pool)
-        zk = 1.0
-        for s in range(self.nblocks):
-            np.copyto(out[s], self.coeffs[0][s])
-        for ck in self.coeffs[1:]:
-            zk *= z
-            for s in range(self.nblocks):
-                np.multiply(ck[s], zk, out=self._scratch[s])
-                out[s] += self._scratch[s]
-        return out
+    def blocks(self, z: float, out) -> None:
+        """Write the blocks of H(z) into ``out`` by Horner's rule."""
+        for s, o in enumerate(out):
+            np.copyto(o, self.coeffs[-1][s])
+            for ck in reversed(self.coeffs[:-1]):
+                o *= z
+                o += ck[s]
 
 
 class _DirectProvider:
@@ -452,8 +425,10 @@ class _DirectProvider:
         self.ops = ops
         self.space = space
 
-    def blocks(self, z: float):
-        return self.space.project(self.ops.htilde(z))
+    def blocks(self, z: float, out) -> None:
+        """Write the blocks of H(z) into ``out``."""
+        for o, blk in zip(out, self.space.project(self.ops.htilde(z))):
+            np.copyto(o, blk)
 
 
 def _make_provider(ops: GridOperators, space: _BlockSpace, length: float):
@@ -466,26 +441,23 @@ class GridWorkspace:
     """Precomputed grid operators, block decomposition and depth provider.
 
     Building these dominates setup time on large grids; a workspace lets
-    the depth integration and the series share them.
+    the depth integration and the series share them.  ``symmetry=True``
+    block-diagonalizes over the square-grid point group when the grid
+    allows it; otherwise, or with ``symmetry=False``, one block spans the
+    grid.
     """
 
     def __init__(self, kern: FieldKernels, grid: ModeGrid,
-                 length: float | None = None, symmetry: str = "auto"):
+                 length: float | None = None, symmetry: bool = True):
         if length is None:
             length = kern.cfg.crystal.length
         self.kern = kern
         self.grid = grid
         self.length = length
         self.ops = GridOperators(kern, grid)
-        space = None
-        if symmetry in ("auto", "on") and grid.size > 1:
-            space = square_grid_blocks(grid)
-        if symmetry == "on" and space is None:
-            raise ValueError("grid does not admit the point-group decomposition")
-        if space is None or symmetry == "off":
-            space = _trivial_space(grid.size)
-        self.space = space
-        self.provider = _make_provider(self.ops, space, length)
+        space = square_grid_blocks(grid) if symmetry and grid.size > 1 else None
+        self.space = space if space is not None else _trivial_space(grid.size)
+        self.provider = _make_provider(self.ops, self.space, length)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +476,15 @@ def _block_dims(space: _BlockSpace):
     return [b.shape[1] for b in space.bases]
 
 
-def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
+def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int, on_step=None):
     """Classical fourth-order steps of dU = (1/2) V H dz, dV = (1/2) U H* dz.
 
     Works blockwise with preallocated buffers; the 1/2 of the equations is
-    folded into the stage constants so provider blocks are used as-is.
+    folded into the stage constants so provider blocks are used as-is.  The
+    kernel blocks at the start, middle and end of a step live in three
+    buffers owned here; the end buffer becomes the next step's start.
+    ``on_step(n, U, V)``, if given, sees the blocks after step n (1-based);
+    it must copy what it keeps.
     """
     dims = _block_dims(space)
     U = [np.eye(d, dtype=complex) for d in dims]
@@ -519,17 +495,18 @@ def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
          for name in ("tmp", "k1u", "k1v", "k2u", "k2v", "k3u", "k3v", "k4u", "k4v")}
         for d in dims
     ]
+    a_lo, a_mid, a_hi = ([np.empty((d, d), dtype=complex) for d in dims] for _ in range(3))
 
     def conjed(blocks):
         return [np.conj(arr) for arr in blocks]
 
-    a_lo = provider.blocks(0.0)
+    provider.blocks(0.0, a_lo)
     a_lo_c = conjed(a_lo)
     for n in range(steps):
         z = n * h
-        a_mid = provider.blocks(z + 0.5 * h)
+        provider.blocks(z + 0.5 * h, a_mid)
         a_mid_c = conjed(a_mid)
-        a_hi = provider.blocks(z + h)
+        provider.blocks(z + h, a_hi)
         a_hi_c = conjed(a_hi)
         for s in range(space.nblocks):
             u, v, b = U[s], V[s], buf[s]
@@ -567,7 +544,10 @@ def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
                 acc += b[k4]
                 acc *= h / 12.0
                 target += acc
-        a_lo, a_lo_c = a_hi, a_hi_c
+        a_lo, a_hi = a_hi, a_lo
+        a_lo_c = a_hi_c
+        if on_step is not None:
+            on_step(n + 1, U, V)
     return U, V
 
 
@@ -591,15 +571,15 @@ def solve_UV_ode(
     grid: ModeGrid,
     steps: int = 64,
     length: float | None = None,
-    symmetry: str = "auto",
+    symmetry: bool = True,
     workspace: GridWorkspace | None = None,
 ) -> BogoliubovSolution:
     """Integrate the forward/conjugate kernel pair through the crystal.
 
     Fixed-step classical fourth-order integration of the coupled pair,
     from the identity/zero initial kernels, with the fully z-dependent
-    pair kernel.  ``symmetry='auto'`` block-diagonalizes over the square
-    grid point group when the grid allows it (bitwise-equivalent result).
+    pair kernel.  ``symmetry=True`` block-diagonalizes over the square
+    grid point group when the grid allows it (same result to rounding).
     """
     if steps < 64:
         raise ValueError("steps must be >= 64")
@@ -622,7 +602,7 @@ def series_UV(
     order: int = 4,
     length: float | None = None,
     z_nodes: int = 33,
-    symmetry: str = "auto",
+    symmetry: bool = True,
     workspace: GridWorkspace | None = None,
 ) -> tuple[KernelMatrix, KernelMatrix]:
     """Iterated-integral expansion of the kernel pair up to ``order``.
@@ -649,6 +629,7 @@ def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
     h = zs[1] - zs[0]
     dims = _block_dims(space)
     nb = space.nblocks
+    cur = [np.empty((d, d), dtype=complex) for d in dims]
 
     # running iterated integrals T_k(z); T_k integrates T_{k-1} against the
     # kernel (conjugated for odd k).  Each level is brought up to date at a
@@ -658,7 +639,7 @@ def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
     ]
     prev_f = [None] * order
     for j, z in enumerate(zs):
-        cur = provider.blocks(z)
+        provider.blocks(z, cur)
         for lvl in range(order):
             f = []
             for s in range(nb):
@@ -679,12 +660,16 @@ def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
     return u_blocks, v_blocks
 
 
-def build_AB(U: KernelMatrix, V: KernelMatrix) -> tuple[KernelMatrix, KernelMatrix]:
-    """Squeezed-state kernels from the Bogoliubov pair."""
-    u = U.to_weighted().matrix
-    v = V.to_weighted().matrix
+def _compose_ab(u: np.ndarray, v: np.ndarray):
+    """Weight-absorbed squeezed-state kernels of a weight-absorbed pair."""
     a = u.conj().T @ u + v.T @ np.conj(v)
     b = u.conj().T @ v + v.T @ np.conj(u)
+    return a, b
+
+
+def build_AB(U: KernelMatrix, V: KernelMatrix) -> tuple[KernelMatrix, KernelMatrix]:
+    """Squeezed-state kernels from the Bogoliubov pair."""
+    a, b = _compose_ab(U.to_weighted().matrix, V.to_weighted().matrix)
     grid = U.grid
     return (
         KernelMatrix(grid, a, True).to_plain(),
@@ -701,62 +686,37 @@ def ab_consistency_defect(
 ) -> float:
     """Residual of the squeezed-kernel depth equations along the trajectory.
 
-    The derivative of the composed kernels is estimated by one-step central
-    differences at evenly spaced stations and compared against the
+    The kernel pair is integrated by the same RK4 as ``solve_UV_ode`` on
+    one block spanning the grid, keeping copies one step either side of
+    evenly spaced stations.  The derivative of the composed kernels is
+    estimated there by central differences and compared against the
     right-hand side built from the pair kernel; returns the worst relative
     residual.
     """
-    if length is None:
-        length = kern.cfg.crystal.length
-    ops = GridOperators(kern, grid)
-    space = _trivial_space(grid.size)
-    provider = _make_provider(ops, space, length)
-    h = length / steps
+    workspace = GridWorkspace(kern, grid, length, symmetry=False)
+    h = workspace.length / steps
     station_steps = {
         int(round(i * steps / (stations + 1))) for i in range(1, stations + 1)
     }
-
-    U = [np.eye(grid.size, dtype=complex)]
-    V = [np.zeros((grid.size, grid.size), dtype=complex)]
+    wanted = {m + d for m in station_steps for d in (-1, 0, 1)}
     snapshots = {}
-    a_lo = provider.blocks(0.0)
-    for n in range(steps):
-        z = n * h
-        a_mid = provider.blocks(z + 0.5 * h)
-        a_hi = provider.blocks(z + h)
-        A0, Am, A1 = a_lo[0], a_mid[0], a_hi[0]
-        A0c, Amc, A1c = np.conj(A0), np.conj(Am), np.conj(A1)
-        u, v = U[0], V[0]
-        k1u = 0.5 * (v @ A0)
-        k1v = 0.5 * (u @ A0c)
-        k2u = 0.5 * ((v + 0.5 * h * k1v) @ Am)
-        k2v = 0.5 * ((u + 0.5 * h * k1u) @ Amc)
-        k3u = 0.5 * ((v + 0.5 * h * k2v) @ Am)
-        k3v = 0.5 * ((u + 0.5 * h * k2u) @ Amc)
-        k4u = 0.5 * ((v + h * k3v) @ A1)
-        k4v = 0.5 * ((u + h * k3u) @ A1c)
-        U[0] = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        V[0] = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-        a_lo = a_hi
-        for m in station_steps:
-            if n + 1 in (m - 1, m, m + 1):
-                snapshots[(m, n + 1)] = (U[0].copy(), V[0].copy())
 
-    def compose(u, v):
-        a = u.conj().T @ u + v.T @ np.conj(v)
-        b = u.conj().T @ v + v.T @ np.conj(u)
-        return a, b
+    def keep(n, U, V):
+        if n in wanted:
+            snapshots[n] = (U[0].copy(), V[0].copy())
+
+    _rk4_blocks(workspace.provider, workspace.space, workspace.length, steps, keep)
 
     worst = 0.0
     for m in station_steps:
-        if (m, m - 1) not in snapshots or (m, m + 1) not in snapshots:
+        if m - 1 not in snapshots or m + 1 not in snapshots:
             continue
-        a_prev, b_prev = compose(*snapshots[(m, m - 1)])
-        a_next, b_next = compose(*snapshots[(m, m + 1)])
+        a_prev, b_prev = _compose_ab(*snapshots[m - 1])
+        a_next, b_next = _compose_ab(*snapshots[m + 1])
         da = (a_next - a_prev) / (2.0 * h)
         db = (b_next - b_prev) / (2.0 * h)
-        a_here, b_here = compose(*snapshots[(m, m)])
-        ht = ops.htilde(m * h)
+        a_here, b_here = _compose_ab(*snapshots[m])
+        ht = workspace.ops.htilde(m * h)
         rhs_a = 0.5 * (ht.conj().T @ np.conj(b_here)) + 0.5 * (b_here @ ht)
         rhs_b = 0.5 * (ht.conj().T @ a_here.T) + 0.5 * (a_here @ np.conj(ht))
         scale = max(np.max(np.abs(rhs_a)), np.max(np.abs(rhs_b)), 1e-300)

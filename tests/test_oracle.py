@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,49 @@ def test_diamond_grid_mismatch():
         oracle.diamond_contract(m1, m3)
 
 
+def test_grid_operators_match_bilinear_kernel():
+    # nonzero pump phase and emission angle: the constant phase factor and
+    # the mismatch must agree between the grid operators and the kernel
+    cfg = thin_reference_config(0.3)
+    cfg = replace(
+        cfg, pump=replace(cfg.pump, phase=0.7), crystal=replace(cfg.crystal, pdc_angle=0.05)
+    )
+    kern = FieldKernels(cfg)
+    grid = small_grid(cfg, nk=8, nw=8)
+    ops = oracle.GridOperators(kern, grid)
+    K, om = grid.K, grid.omega
+    sw = np.sqrt(np.outer(grid.weight, grid.weight))
+    length = cfg.crystal.length
+    for z in (0.0, 0.5 * length, length):
+        ref = kern.bilinear_kernel(K[:, None, :], K[None, :, :], om[:, None], om[None, :], z)
+        ref *= sw
+        assert np.max(np.abs(ops.htilde(z) - ref) / np.abs(ref)) < 1e-13
+
+
+def test_providers_fill_caller_buffers():
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = small_grid(cfg, nk=9, nw=8)
+    ws = oracle.GridWorkspace(kern, grid)
+    assert isinstance(ws.provider, oracle._TaylorProvider)
+    assert ws.space.nblocks > 1
+    dims = oracle._block_dims(ws.space)
+    length = ws.length
+    for z in (0.0, 0.37 * length, length):
+        filled = []
+        for provider in (ws.provider, oracle._DirectProvider(ws.ops, ws.space)):
+            first = [np.empty((d, d), dtype=complex) for d in dims]
+            second = [np.empty((d, d), dtype=complex) for d in dims]
+            provider.blocks(z, first)
+            kept = [blk.copy() for blk in first]
+            provider.blocks(0.5 * z + 0.2 * length, second)
+            for blk, ref in zip(first, kept):
+                assert np.array_equal(blk, ref)
+            filled.append(first)
+        for taylor, direct in zip(*filled):
+            assert np.max(np.abs(taylor - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_weighted_plain_round_trip():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
@@ -172,8 +216,9 @@ def test_symmetry_engine_equals_plain():
     cfg = thin_reference_config(0.35)
     kern = FieldKernels(cfg)
     grid = small_grid(cfg, nk=9, nw=8)
-    sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry="on")
-    plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry="off")
+    sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
+    plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
+    assert len(sym.info["blocks"]) > 1
     scale_u = np.max(np.abs(plain.forward.matrix))
     scale_v = np.max(np.abs(plain.conjugate.matrix))
     assert np.max(np.abs(sym.forward.matrix - plain.forward.matrix)) < 1e-12 * scale_u
@@ -195,8 +240,9 @@ def test_symmetry_engine_equals_plain_thick_crystal():
     grid = small_grid(cfg, nk=8, nw=8)
     ws = oracle.GridWorkspace(kern, grid)
     assert isinstance(ws.provider, oracle._DirectProvider)
-    sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry="on")
-    plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry="off")
+    sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
+    plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
+    assert len(sym.info["blocks"]) > 1
     scale = np.max(np.abs(plain.conjugate.matrix))
     assert np.max(np.abs(sym.conjugate.matrix - plain.conjugate.matrix)) < 1e-12 * scale
 
@@ -330,7 +376,6 @@ def test_series_order_one_matches_quadrature():
     _, v1 = oracle.series_UV(kern, grid, order=1, z_nodes=33)
     ops = oracle.GridOperators(kern, grid)
     zs = np.linspace(0, cfg.crystal.length, 129)
-    acc = np.zeros((grid.size, grid.size), dtype=complex)
     stack = np.array([np.conj(ops.htilde(z)) for z in zs])
     direct = 0.5 * np.trapezoid(stack, zs, axis=0)
     vw = v1.to_weighted().matrix
