@@ -11,17 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from pdcfield.config import with_overrides, seed_shift
+from pdcfield.config import with_overrides
 from pdcfield.kernels import FieldKernels
-from pdcfield.stimulated import zeta_orders, zeta2_tca, efficiency_f, stimulated_intensity
+from pdcfield.stimulated import zeta_orders, efficiency_f, stimulated_intensity
 from pdcfield.background import background_radial, background_peak_value, RADIAL_CROSSOVER
 from pdcfield.fitting import ForwardModel, synthesize_image, fit_parameters
-from pdcfield import oracle
 from pdcfield.validate import (
+    check_background_tca,
     check_bogoliubov_constraint,
+    check_idler_tca,
+    check_pair_contraction,
+    check_prefactor_identity,
     check_series_vs_ode,
-    numeric_pair_contraction,
-    narrowband_reference_config,
 )
 
 
@@ -59,65 +60,24 @@ def test_criterion_1_stress_gain():
 
 
 def test_criterion_2_kernel_closed_forms(combined_cfg):
-    cfg = narrowband_reference_config()
-    kern = FieldKernels(cfg)
-    q = kern.q
-    term = kern.contracted_kernel(2)
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(3):
-        K1 = rng.normal(scale=0.8 / cfg.pump.waist, size=2)
-        K3 = rng.normal(scale=0.8 / cfg.pump.waist, size=2)
-        w1 = q.omega_deg + 0.5 * cfg.pump.bandwidth * rng.standard_normal()
-        w3 = q.omega_deg + 0.5 * cfg.pump.bandwidth * rng.standard_normal()
-        numeric = numeric_pair_contraction(kern, K1, K3, w1, w3)
-        closed = term(K1, K3, w1, w3) * 2.0 / cfg.crystal.length**2
-        worst = max(worst, abs(numeric - closed) / abs(closed))
-
-    q5 = combined_cfg.derive()
-    amp = q5.pump_amplitude
-    p, x = combined_cfg.pump, combined_cfg.crystal
-    c = 299792458.0
-    m0 = math.pi**1.25 * p.waist**2 / math.sqrt(p.bandwidth)
-    m1 = (
-        4 * math.sqrt(2) * x.length * amp * x.cross_section
-        * math.sqrt(p.omega * p.bandwidth) / (math.pi**0.75 * c**2 * p.waist)
-    )
-    pair_amp = 4 * math.sqrt(2 * math.pi * p.omega) * amp * x.cross_section * p.waist / c**2
-    ident = abs(m0 * m1 - x.length * pair_amp) / (m0 * m1)
-    ok = worst < 1e-4 and ident < 1e-12
+    pair = check_pair_contraction()
+    ident = check_prefactor_identity(combined_cfg)
     _report(
         2,
-        ok,
-        f"pair contraction vs closed form {worst:.2e} (tol 1e-4) at 3 pairs, "
-        f"prefactor identity {ident:.2e} (tol 1e-12)",
+        pair.passed and ident.passed,
+        f"pair contraction vs closed form {pair.value:.2e} (tol 1e-4) at 3 pairs, "
+        f"prefactor identity {ident.value:.2e} (tol 1e-12)",
     )
 
 
 def test_criterion_3_thin_crystal_error(combined_cfg, collinear_cfg):
-    kern = FieldKernels(combined_cfg)
-    q = kern.q
-    shift = np.asarray(seed_shift(combined_cfg, q))
-    width = math.sqrt(2.0) * q.waist_sum / (combined_cfg.pump.waist * combined_cfg.seed.waist)
-    offsets = np.linspace(-3.0, 3.0, 25)
-    ks = -shift[None, :] + np.stack([offsets, np.zeros_like(offsets)], axis=-1) * width
-    closed = zeta2_tca(kern, ks, q.omega_deg)
-    exact = np.array([oracle.oracle_zeta2(kern, k) for k in ks])
-    idler_err = np.linalg.norm(closed - exact) / np.linalg.norm(exact)
-
-    bkern = FieldKernels(collinear_cfg)
-    bq = bkern.q
-    bg_err = 0.0
-    for radius in (0.0, bq.radial_scale, 2.0 * bq.radial_scale):
-        c_val = background_radial(bkern, radius)
-        e_val = oracle.oracle_background(bkern, radius)
-        bg_err = max(bg_err, abs(c_val - e_val) / abs(e_val))
-    ok = idler_err < 0.05 and bg_err < 0.05
+    idler = check_idler_tca(combined_cfg, n_points=25)
+    background = check_background_tca(collinear_cfg)
     _report(
         3,
-        ok,
-        f"idler closed form vs depth quadrature L2 {idler_err:.3%} (tol 5%), "
-        f"background at r in {{0, R, 2R}} worst {bg_err:.3%} (tol 5%)",
+        idler.passed and background.passed,
+        f"idler closed form vs depth quadrature L2 {idler.value:.3%} (tol 5%), "
+        f"background at r in {{0, R, 2R}} worst {background.value:.3%} (tol 5%)",
     )
 
 

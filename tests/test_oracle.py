@@ -13,16 +13,10 @@ from pdcfield.validate import (
     narrowband_reference_config,
     check_hyperbolic_sums,
     check_zeta_orders_consistency,
+    thin_reference_grid,
 )
 
 TWO_PI_CUBED = (2 * math.pi) ** 3
-
-
-def small_grid(cfg, nk=9, nw=9):
-    q = cfg.derive()
-    return oracle.build_grid(
-        6.0 / cfg.pump.waist, nk, q.omega_deg, 4.0 * cfg.pump.bandwidth, nw, cfg=cfg
-    )
 
 
 def test_single_mode_grid():
@@ -60,7 +54,7 @@ def test_grid_extent_warning():
 def test_diamond_identity_and_associativity():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg)
+    grid = thin_reference_grid(cfg)
     ops = oracle.GridOperators(kern, grid)
     h = oracle.KernelMatrix(grid, ops.htilde(0.1e-3), True).to_plain()
     ident = oracle.identity_kernel(grid)
@@ -79,8 +73,8 @@ def test_diamond_identity_and_associativity():
 def test_diamond_grid_mismatch():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    g1 = small_grid(cfg, nk=9)
-    g2 = small_grid(cfg, nk=11)
+    g1 = thin_reference_grid(cfg, 9)
+    g2 = thin_reference_grid(cfg, 11)
     m1 = oracle.KernelMatrix(g1, np.eye(g1.size, dtype=complex), True)
     m2 = oracle.KernelMatrix(g2, np.eye(g2.size, dtype=complex), True)
     with pytest.raises(oracle.GridMismatchError):
@@ -98,7 +92,7 @@ def test_grid_operators_match_bilinear_kernel():
         cfg, pump=replace(cfg.pump, phase=0.7), crystal=replace(cfg.crystal, pdc_angle=0.05)
     )
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     ops = oracle.GridOperators(kern, grid)
     K, om = grid.K, grid.omega
     sw = np.sqrt(np.outer(grid.weight, grid.weight))
@@ -112,7 +106,7 @@ def test_grid_operators_match_bilinear_kernel():
 def test_providers_fill_caller_buffers():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=9, nw=8)
+    grid = thin_reference_grid(cfg, 9, 8)
     ws = oracle.GridWorkspace(kern, grid)
     assert isinstance(ws.provider, oracle._TaylorProvider)
     assert ws.space.nblocks > 1
@@ -136,7 +130,7 @@ def test_providers_fill_caller_buffers():
 def test_weighted_plain_round_trip():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg)
+    grid = thin_reference_grid(cfg)
     ops = oracle.GridOperators(kern, grid)
     h = oracle.KernelMatrix(grid, ops.htilde(0.0), True)
     back = h.to_plain().to_weighted()
@@ -196,7 +190,7 @@ def test_grid_self_convergence():
 def test_solver_zero_gain():
     cfg = thin_reference_config(0.0)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     uw = sol.forward.to_weighted().matrix
     assert np.allclose(uw, np.eye(grid.size))
@@ -207,7 +201,7 @@ def test_solver_zero_gain():
 def test_solver_rejects_few_steps():
     cfg = thin_reference_config(0.2)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     with pytest.raises(ValueError):
         oracle.solve_UV_ode(kern, grid, steps=32)
 
@@ -215,7 +209,7 @@ def test_solver_rejects_few_steps():
 def test_symmetry_engine_equals_plain():
     cfg = thin_reference_config(0.35)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=9, nw=8)
+    grid = thin_reference_grid(cfg, 9, 8)
     sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
     plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
     assert len(sym.info["blocks"]) > 1
@@ -237,7 +231,7 @@ def test_symmetry_engine_equals_plain_thick_crystal():
         detector=DetectorConfig(focal_length=0.1, aperture=2e-3, bandwidth=1e9),
     )
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
     assert isinstance(ws.provider, oracle._DirectProvider)
     sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
@@ -304,7 +298,7 @@ def test_hyperbolic_matrix_matches_dense_single_omega():
 def test_hyperbolic_subblock_matches_dense_scattered_indices():
     cfg = narrowband_reference_config(0.4)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=10, nw=9)
+    grid = thin_reference_grid(cfg, 10, 9)
     idx = np.random.default_rng(5).choice(grid.size, size=70, replace=False)
     cosh, sinh = dense_hyperbolic(kern, grid)
     assert_hyperbolic_close(
@@ -347,7 +341,7 @@ def test_hyperbolic_factorized_matches_dense_property(counts, k_lo, k_span, w_lo
 def test_constraint_along_trajectory():
     cfg = thin_reference_config(0.4)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     L = cfg.crystal.length
     for frac in np.linspace(1.0 / 8.0, 1.0, 8):
         sol = oracle.solve_UV_ode(kern, grid, steps=64, length=frac * L)
@@ -357,7 +351,7 @@ def test_constraint_along_trajectory():
 def test_rk4_convergence_order():
     cfg = thin_reference_config(0.5)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     ref = oracle.solve_UV_ode(kern, grid, steps=1024)
     errs = []
     for steps in (64, 128):
@@ -372,7 +366,7 @@ def test_rk4_convergence_order():
 def test_series_order_one_matches_quadrature():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     _, v1 = oracle.series_UV(kern, grid, order=1, z_nodes=33)
     ops = oracle.GridOperators(kern, grid)
     zs = np.linspace(0, cfg.crystal.length, 129)
@@ -385,7 +379,7 @@ def test_series_order_one_matches_quadrature():
 def test_series_vs_ode():
     cfg = thin_reference_config(0.2)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=9, nw=9)
+    grid = thin_reference_grid(cfg, 9, 9)
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     u4, v4 = oracle.series_UV(kern, grid, order=4)
     du = np.max(np.abs(u4.to_weighted().matrix - sol.forward.to_weighted().matrix))
@@ -439,7 +433,7 @@ def test_zeta_orders_consistency_check():
 def test_build_ab_zero_gain():
     cfg = thin_reference_config(0.0)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=8, nw=8)
+    grid = thin_reference_grid(cfg, 8, 8)
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     a_mat, b_mat = oracle.build_AB(sol.forward, sol.conjugate)
     assert np.allclose(a_mat.to_weighted().matrix, np.eye(grid.size))
@@ -449,7 +443,7 @@ def test_build_ab_zero_gain():
 def test_squeezed_kernel_properties():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=9, nw=9)
+    grid = thin_reference_grid(cfg, 9, 9)
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     a_mat, _ = oracle.build_AB(sol.forward, sol.conjugate)
     aw = a_mat.to_weighted().matrix
@@ -460,16 +454,14 @@ def test_squeezed_kernel_properties():
 def test_ab_depth_equation_defect():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    q = kern.q
-    grid = oracle.build_grid(6.0 / cfg.pump.waist, 9, q.omega_deg, 0.0, 1, cfg=cfg)
-    defect = oracle.ab_consistency_defect(kern, grid, steps=256)
+    defect = oracle.ab_consistency_defect(kern, thin_reference_grid(cfg, 9, 1), steps=256)
     assert defect < 1e-4
 
 
 def test_uv_product_symmetry_reported():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    grid = small_grid(cfg, nk=9, nw=9)
+    grid = thin_reference_grid(cfg, 9, 9)
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     uv = sol.forward.to_weighted().matrix @ sol.conjugate.to_weighted().matrix
     assert np.max(np.abs(uv - uv.T)) / np.max(np.abs(uv)) < 1e-3
