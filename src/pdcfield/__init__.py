@@ -38,7 +38,6 @@ from .oracle import (
     QuadratureError,
     build_AB,
     build_grid,
-    default_grid,
     diamond_contract,
     identity_kernel,
     oracle_background,

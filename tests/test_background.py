@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from pdcfield.config import with_overrides
 from pdcfield.kernels import FieldKernels
@@ -171,5 +172,23 @@ def test_background_vs_oracle_quadrature(collinear_cfg):
     q = kern.q
     for radius in (0.0, q.radial_scale):
         closed = background_radial(kern, radius)
-        exact = oracle.oracle_background(kern, radius)
+        exact, err = oracle.oracle_background(kern, radius)
+        assert err < 1e-12
         assert abs(closed - exact) / abs(exact) < 0.05
+
+
+def test_oracle_background_against_adaptive_quadrature(collinear_cfg):
+    kern = FieldKernels(collinear_cfg)
+    q = kern.q
+    L = collinear_cfg.crystal.length
+    for radius in (0.0, q.radial_scale):
+        K0 = np.array([q.k_deg * radius / collinear_cfg.detector.focal_length, 0.0])
+
+        def integrand(z2, z1):
+            return float(np.real(hh_contraction(kern, K0, K0, q.omega_deg, q.omega_deg, z1, z2)))
+
+        reference = 0.25 * q.detector_gain * dblquad(
+            integrand, 0.0, L, 0.0, L, epsabs=0.0, epsrel=1e-12
+        )[0]
+        value, _ = oracle.oracle_background(kern, radius)
+        assert abs(value - reference) / abs(reference) < 1e-10

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
-from pdcfield.config import with_overrides
-from pdcfield.kernels import FieldKernels
+import pdcfield
+from pdcfield.config import load_config_file, seed_shift, with_overrides
+from pdcfield.kernels import FieldKernels, gaussian_spectrum
 from pdcfield import oracle
 from pdcfield.validate import (
     thin_reference_config,
@@ -17,6 +23,7 @@ from pdcfield.validate import (
 )
 
 TWO_PI_CUBED = (2 * math.pi) ** 3
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "combined.cfg"
 
 
 def test_single_mode_grid():
@@ -470,22 +477,99 @@ def test_uv_product_symmetry_reported():
 def test_oracle_zeta2_zero_seed():
     cfg = with_overrides(thin_reference_config(0.3), seed_photons=0.0)
     kern = FieldKernels(cfg)
-    assert oracle.oracle_zeta2(kern, np.zeros(2)) == 0.0
+    assert oracle.oracle_zeta2(kern, np.zeros(2)) == (0.0, 0.0)
 
 
 def test_oracle_background_zero_gain():
     cfg = with_overrides(thin_reference_config(0.0))
     kern = FieldKernels(cfg)
-    assert oracle.oracle_background(kern, 0.0) == 0.0
+    assert oracle.oracle_background(kern, 0.0) == (0.0, 0.0)
 
 
-def test_quadrature_error_reported():
-    with pytest.raises(oracle.QuadratureError):
-        oracle._quad_complex(
-            lambda x: math.sin(1.0 / (x + 1e-12)) / (x + 1e-3) ** 0.99,
-            0.0,
-            1.0,
-            0.0,
-            1e-13,
-            "torture integral",
+def test_quadrature_error_reported(combined_cfg, collinear_cfg):
+    # the 64- and 96-node rules agree to about 1e-14, short of 1e-16
+    kern = FieldKernels(combined_cfg)
+    K1 = -np.asarray(seed_shift(combined_cfg, kern.q))
+    with pytest.raises(oracle.QuadratureError, match="rtol 1e-16"):
+        oracle.oracle_zeta2(kern, K1, rtol=1e-16)
+    with pytest.raises(oracle.QuadratureError, match="rtol 1e-16"):
+        oracle.oracle_background(FieldKernels(collinear_cfg), 0.0, rtol=1e-16)
+
+
+# -- the quadrature oracles against scipy's adaptive quadrature --------------
+
+
+def _scipy_zeta2(kern, K1):
+    """The idler amplitude by nested adaptive quadrature: omega2 inside z."""
+    cfg, q = kern.cfg, kern.q
+    p, s = cfg.pump, cfg.seed
+    w1 = q.omega_deg
+    shift = np.asarray(seed_shift(cfg, q))
+    kz1, chi1 = float(kern.kz(w1)), float(kern.chi(w1))
+    amp = (
+        1j * (q.kernel_prefactor * q.order_gain / cfg.crystal.length) * np.exp(1j * p.phase)
+        * math.sqrt(2.0 * math.pi) * s.amplitude * np.exp(-1j * s.phase) * s.waist
+    )
+    wp2, wx2 = p.waist**2, s.waist**2
+
+    def integrand(w2, z):
+        kz2 = float(kern.kz(w2))
+        qq = kz1 * kz2 / (kz1 + kz2)
+        a = 0.25 * (wp2 + wx2) + 0.5j * z * qq / kz2**2
+        b = -0.5 * wp2 * K1 + 0.5 * wx2 * shift + 1j * z * qq * K1 / (kz1 * kz2)
+        const = -0.25 * wp2 * K1**2 - 0.25 * wx2 * shift**2 - 0.5j * z * qq * K1**2 / kz1**2
+        gauss = (math.pi / a) * np.exp(np.sum(b * b / (4.0 * a) + const)) / (2.0 * math.pi) ** 2
+        spectra = gaussian_spectrum(w1 + w2 - p.omega, p.bandwidth) * gaussian_spectrum(
+            w2 - q.omega_deg, s.bandwidth
         )
+        phase = np.exp(0.5j * z * (chi1 + float(kern.chi(w2))))
+        return amp * math.sqrt(w1 * w2) * spectra * phase * gauss
+
+    bw = math.hypot(p.bandwidth, s.bandwidth)
+
+    def over_omega(z):
+        return quad(integrand, q.omega_deg - 8.0 * bw, q.omega_deg + 8.0 * bw, args=(z,),
+                    epsabs=0.0, epsrel=1e-10, limit=200, complex_func=True)[0]
+
+    total = quad(over_omega, 0.0, cfg.crystal.length, epsabs=0.0, epsrel=1e-10,
+                 limit=200, complex_func=True)[0]
+    return 0.5 * total / (2.0 * math.pi)
+
+
+@pytest.fixture(scope="module")
+def shipped_idler_points():
+    """The shipped configuration and three points across its idler lobe."""
+    kern = FieldKernels(load_config_file(SHIPPED_CONFIG))
+    q = kern.q
+    width = q.waist_sum / (kern.cfg.pump.waist * kern.cfg.seed.waist)
+    offsets = np.array([[-3.0, 0.0], [0.0, 0.0], [1.5, 1.0]]) * width
+    return kern, -np.asarray(seed_shift(kern.cfg, q)) + offsets
+
+
+def test_oracle_zeta2_against_adaptive_quadrature(shipped_idler_points):
+    kern, points = shipped_idler_points
+    values, err = oracle.oracle_zeta2(kern, points)
+    assert values.shape == (3,)
+    assert err < 1e-12
+    reference = np.array([_scipy_zeta2(kern, k) for k in points])
+    assert np.max(np.abs(values - reference) / np.abs(reference)) < 1e-10
+
+
+def test_oracle_zeta2_vectorized_matches_single_points(shipped_idler_points):
+    kern, points = shipped_idler_points
+    grid = points[:, None, :] + np.array([0.0, 1.0, -2.0, 0.5])[:, None] / kern.cfg.pump.waist
+    values, err = oracle.oracle_zeta2(kern, grid)
+    assert values.shape == grid.shape[:-1]
+    singles = np.array([oracle.oracle_zeta2(kern, k) for k in grid.reshape(-1, 2)])
+    assert np.max(singles[:, 1].real) == err
+    assert np.max(np.abs(singles[:, 0] - values.ravel()) / np.abs(values.ravel())) < 1e-15
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    # scipy.integrate pulls in scipy.optimize and scipy.special on import
+    code = "import pdcfield, sys; assert 'scipy.integrate' not in sys.modules"
+    src = str(Path(pdcfield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
