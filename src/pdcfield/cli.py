@@ -58,11 +58,8 @@ def cmd_orders(args) -> int:
     cols = [np.abs(t(K, q.omega_deg)) for t in terms]
     signal, idler = zeta_branches(terms, K, q.omega_deg)
     total = q.detector_gain * np.abs(signal - idler) ** 2
-    rows = [
-        [x[i] * 1e3] + [c[i] for c in cols] + [total[i]] for i in range(x.size)
-    ]
     out = _outdir(args)
-    write_csv(out / "orders.csv", header, rows)
+    write_csv(out / "orders.csv", header, [x * 1e3, *cols, total])
     if not args.no_svg:
         series = [(x * 1e3, c, f"order {t.order}") for t, c in zip(terms, cols)]
         render_plot(out / "orders.svg", series, "x [mm]", "amplitude",
@@ -78,7 +75,7 @@ def cmd_efficiency(args) -> int:
     a = np.linspace(lo, hi, args.points)
     f = efficiency_f(a, args.beta)
     out = _outdir(args)
-    write_csv(out / "efficiency.csv", ["a", "f"], zip(a, f))
+    write_csv(out / "efficiency.csv", ["a", "f"], [a, f])
     if not args.no_svg:
         render_plot(out / "efficiency.svg", [(a, f, f"beta={args.beta:g}")],
                     "mismatch parameter a", "efficiency",
@@ -95,12 +92,9 @@ def cmd_background(args) -> int:
     r = np.linspace(0.0, args.r_max * 1e-3, args.points)
     out = _outdir(args)
     header = ["r_mm"] + [f"intensity_theta{1e3 * th:g}mrad" for th in angles]
-    columns = []
-    for th in angles:
-        kern = FieldKernels(with_overrides(cfg, pdc_angle=th))
-        columns.append(background_radial(kern, r))
-    rows = [[r[i] * 1e3] + [c[i] for c in columns] for i in range(r.size)]
-    write_csv(out / "background.csv", header, rows)
+    columns = [background_radial(FieldKernels(with_overrides(cfg, pdc_angle=th)), r)
+               for th in angles]
+    write_csv(out / "background.csv", header, [r * 1e3, *columns])
     if not args.no_svg:
         series = [
             (r * 1e3, c, f"{1e3 * th:g} mrad") for th, c in zip(angles, columns)
@@ -118,16 +112,11 @@ def cmd_combined(args) -> int:
     x = np.linspace(-half, half, args.points)
     X0 = np.stack([x, np.zeros_like(x)], axis=-1)
     out = _outdir(args)
-    columns = []
-    for g in g_values:
-        kern = FieldKernels(with_overrides(cfg, g_factor=g))
-        val = stimulated_intensity(kern, X0, mode=args.mode) + background_intensity(
-            kern, X0
-        )
-        columns.append(val)
+    kernels = [FieldKernels(with_overrides(cfg, g_factor=g)) for g in g_values]
+    columns = [stimulated_intensity(k, X0, mode=args.mode) + background_intensity(k, X0)
+               for k in kernels]
     header = ["x_mm"] + [f"intensity_G{g:g}" for g in g_values]
-    rows = [[x[i] * 1e3] + [c[i] for c in columns] for i in range(x.size)]
-    write_csv(out / "combined.csv", header, rows)
+    write_csv(out / "combined.csv", header, [x * 1e3, *columns])
     if not args.no_svg:
         series = [(x * 1e3, c, f"G={g:g}") for g, c in zip(g_values, columns)]
         render_plot(out / "combined.svg", series, "x [mm]", "photon count",
@@ -147,17 +136,19 @@ def cmd_image(args) -> int:
     )
     out = _outdir(args)
     XX, YY = np.meshgrid(x * 1e3, y * 1e3)  # row-major: x varies fastest
-    rows = zip(XX.ravel().tolist(), YY.ravel().tolist(), image.values.ravel().tolist())
-    write_csv(out / "image.csv", ["x_mm", "y_mm", "intensity"], rows)
+    write_csv(out / "image.csv", ["x_mm", "y_mm", "intensity"],
+              [XX.ravel(), YY.ravel(), image.values.ravel()])
     print(f"wrote {out / 'image.csv'}")
     return 0
 
 
 def _read_image(path) -> IntensityImage:
-    header, rows = read_csv(path)
+    try:
+        header, arr = read_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if header != ["x_mm", "y_mm", "intensity"]:
         raise ConfigError(f"{path}: expected header x_mm,y_mm,intensity")
-    arr = np.array(rows, dtype=float)
     x, xi = np.unique(arr[:, 0], return_inverse=True)
     y, yi = np.unique(arr[:, 1], return_inverse=True)
     cell = yi * x.size + xi
@@ -186,11 +177,11 @@ def cmd_fit(args) -> int:
             init[name.strip()] = float(val)
     result = fit_parameters(model, image, free=free, init=init or None)
     out = _outdir(args)
-    rows = [
-        [name, result.parameters[name], result.errors.get(name, float("nan"))]
-        for name in free
-    ]
-    write_csv(out / "fit.csv", ["parameter", "value", "std_error"], rows)
+    write_csv(out / "fit.csv", ["parameter", "value", "std_error"], [
+        free,
+        [result.parameters[name] for name in free],
+        [result.errors.get(name, float("nan")) for name in free],
+    ])
     print(f"status: {result.status} after {result.iterations} iterations")
     for name in free:
         err = result.errors.get(name)
@@ -217,11 +208,10 @@ def cmd_validate(args) -> int:
             line += f"  [{r.note}]"
         lines.append(line)
         print(line)
-    write_csv(
-        out / "validate.csv",
-        ["check", "value", "tolerance", "passed", "seconds"],
-        [[r.name, r.value, r.tolerance, float(r.passed), r.seconds] for r in results],
-    )
+    write_csv(out / "validate.csv", ["check", "value", "tolerance", "passed", "seconds"], [
+        [r.name for r in results], [r.value for r in results], [r.tolerance for r in results],
+        [r.passed for r in results], [r.seconds for r in results],
+    ])
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else 1

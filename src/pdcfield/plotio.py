@@ -1,37 +1,43 @@
 """CSV tables and minimal SVG line plots.
 
-Output is deterministic: fixed float formatting, no locale, stable column
-order, so identical runs produce byte-identical files.
+Output is deterministic, so identical runs produce byte-identical files.
+``write_csv`` takes one column per header field: a ``str`` column is written
+as it is, any other as float64 by ``format_number`` (``f"{v:.12g}"``, also
+``nan``, ``inf``, ``-inf``, ``-0``), once per distinct bit pattern.
+``read_csv`` returns the header and a 2-D float array.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 
 def format_number(value: float) -> str:
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return f"{value:.12g}"
 
 
-def write_csv(path, header: list[str], rows) -> Path:
-    """Write a table; rows are sequences matching the header length."""
-    path = Path(path)
-    header = list(header)
-    lines = [",".join(header)]
-    count = 0
-    for row in rows:
-        row = list(row)
-        if len(row) != len(header):
-            raise ValueError(
-                f"row has {len(row)} fields, header has {len(header)}"
-            )
-        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
-        count += 1
-    if count == 0:
+def _format_column(column) -> list[str]:
+    values = np.asarray(column)
+    if values.dtype.kind == "U":
+        return values.tolist()
+    bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
+    text = np.array([format_number(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def write_csv(path, header: list[str], columns) -> Path:
+    """Write a table; ``columns`` holds one equal-length sequence per header field."""
+    columns = [_format_column(c) for c in columns]
+    if len(columns) != len(header) or len({len(c) for c in columns}) != 1:
+        raise ValueError(f"expected {len(header)} columns of equal length")
+    if not columns[0]:
         raise ValueError("refusing to write an empty table")
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    path = Path(path)
     try:
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
     except OSError as exc:
@@ -39,19 +45,21 @@ def write_csv(path, header: list[str], rows) -> Path:
     return path
 
 
-def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    """Read back a table written by write_csv (all-numeric payload)."""
+def read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Read back an all-numeric table as (header, array of shape (rows, fields))."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="ascii")
+        with path.open(encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a table without rows fails below
+            header = fh.readline().rstrip("\r\n").split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise OSError(f"cannot read CSV {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    return header, rows
+    except ValueError as exc:  # a ragged row, a non-numeric token, non-ASCII bytes
+        raise ValueError(f"{path}: {exc}") from None
+    if data.size == 0 or data.shape[1] != len(header):
+        raise ValueError(f"{path}: expected rows of {len(header)} fields under the header")
+    return header, data
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcfield.cli import main, _read_image
 from pdcfield.config import ConfigError, load_config_file
@@ -40,15 +43,72 @@ def config_path(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "one.csv"
-    write_csv(path, ["a", "b"], [[1.5, -2.25e-7]])
+    write_csv(path, ["a", "b"], [[1.5], [-2.25e-7]])
     header, rows = read_csv(path)
     assert header == ["a", "b"]
-    assert rows == [[1.5, -2.25e-7]]
+    assert rows.tolist() == [[1.5, -2.25e-7]]
 
 
 def test_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "empty.csv", ["a"], [])
+        write_csv(tmp_path / "empty.csv", ["a"], [[]])
+
+
+def test_csv_rejects_mismatched_columns(tmp_path):
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="expected 2 columns"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
+
+
+def per_row_reference(header, rows) -> bytes:
+    """The row-by-row, value-by-value writer that the columnar one replaced,
+    kept here as an independent reference for its bytes."""
+
+    def number(value):
+        if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
+            return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+        return f"{value:.12g}"
+
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else number(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+
+
+def test_csv_special_values_match_per_row_writer(tmp_path):
+    values = [0.0, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), -0.0,
+              1e-300, 2.5e20, 3, -7, 0.1]
+    names = [f"v{i}" for i in range(len(values))]
+    array = np.array(values)[::-1]
+    header = ["name", "value", "array", "count"]
+    columns = [names, values, array, list(range(len(values)))]
+    path = write_csv(tmp_path / "specials.csv", header, columns)
+    assert path.read_bytes() == per_row_reference(header, zip(*columns))
+    assert path.read_text().splitlines()[1:] == [
+        "v0,0,0.1,0", "v1,-0,-7,1", "v2,0,3,2", "v3,nan,2.5e+20,3",
+        "v4,inf,1e-300,4", "v5,-inf,-0,5", "v6,-0,-inf,6", "v7,1e-300,inf,7",
+        "v8,2.5e+20,nan,8", "v9,3,0,9", "v10,-7,-0,10", "v11,0.1,0,11",
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.floats(width=64), st.sampled_from(SPECIALS)),
+                       min_size=1, max_size=40))
+def test_csv_float_columns_property(tmp_path_factory, values):
+    array = np.array(values)[::-1]
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["a", "b"], [values, array])
+    assert path.read_bytes() == per_row_reference(["a", "b"], zip(values, array.tolist()))
+    header, data = read_csv(path)
+    expected = np.array([[float(f"{a:.12g}"), float(f"{b:.12g}")]
+                         for a, b in zip(values, array.tolist())])
+    assert header == ["a", "b"]
+    assert np.array_equal(np.isnan(data), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    assert np.array_equal(data[finite], expected[finite])
+    assert np.array_equal(np.signbit(data[finite]), np.signbit(expected[finite]))
 
 
 def test_render_plot_writes_svg(tmp_path):
@@ -173,28 +233,30 @@ def test_read_image_rejects_bad_header(tmp_path):
 
 
 def test_image_csv_matches_per_row_writer(tmp_path, config_path):
-    assert main([
-        "--outdir", str(tmp_path), "image", "--config", config_path,
-        "--nx", "96", "--ny", "24", "--noise", "poisson", "--seed", "9",
-        "--exposure", "40", "--no-svg",
-    ]) == 0
     half = 1.5e-3
     x = np.linspace(-half, half, 96)
     y = np.linspace(-half * 24 / 96, half * 24 / 96, 24)
-    image = synthesize_image(
-        ForwardModel(load_config_file(config_path)), x, y, noise="poisson", seed=9,
-        exposure=40.0,
-    )
-    rows = [
-        [x[i] * 1e3, y[j] * 1e3, image.values[j, i]]
-        for j in range(y.size)
-        for i in range(x.size)
-    ]
-    ref = write_csv(tmp_path / "reference.csv", ["x_mm", "y_mm", "intensity"], rows)
-    assert (tmp_path / "image.csv").read_bytes() == ref.read_bytes()
-    read = _read_image(tmp_path / "image.csv")
-    assert np.array_equal(read.values, image.values)
-    assert np.allclose(read.x, x, rtol=1e-11) and np.allclose(read.y, y, rtol=1e-11)
+    model = ForwardModel(load_config_file(config_path))
+    for noise in ("poisson", "none"):  # integer counts, then non-integer intensities
+        assert main([
+            "--outdir", str(tmp_path), "image", "--config", config_path,
+            "--nx", "96", "--ny", "24", "--noise", noise, "--seed", "9",
+            "--exposure", "40", "--no-svg",
+        ]) == 0
+        image = synthesize_image(model, x, y, noise=noise, seed=9, exposure=40.0)
+        rows = [
+            [float(x[i] * 1e3), float(y[j] * 1e3), float(image.values[j, i])]
+            for j in range(y.size)
+            for i in range(x.size)
+        ]
+        ref = per_row_reference(["x_mm", "y_mm", "intensity"], rows)
+        assert (tmp_path / "image.csv").read_bytes() == ref
+        read = _read_image(tmp_path / "image.csv")
+        if noise == "poisson":
+            assert np.array_equal(read.values, image.values)
+        else:
+            assert np.allclose(read.values, image.values, rtol=1e-11, atol=0)
+        assert np.allclose(read.x, x, rtol=1e-11) and np.allclose(read.y, y, rtol=1e-11)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -215,3 +277,19 @@ def test_fit_rejects_non_finite_pixel(tmp_path, config_path, bad):
         "--image", str(path), "--no-svg",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("body", ["0,0,1\n1,0\n", "0,0,1\n1,0,abc\n", ""],
+                         ids=["ragged", "non-numeric", "no-rows"])
+def test_fit_rejects_malformed_image_csv(tmp_path, config_path, capsys, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("x_mm,y_mm,intensity\n" + body)
+    with pytest.raises(ConfigError, match="bad.csv"):
+        _read_image(path)
+    code = main([
+        "--outdir", str(tmp_path), "fit", "--config", config_path,
+        "--image", str(path), "--no-svg",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
