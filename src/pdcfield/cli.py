@@ -15,7 +15,9 @@ from .config import ConfigError, load_config_file, with_overrides
 from .kernels import FieldKernels
 from .stimulated import zeta_orders, zeta_branches, efficiency_f, stimulated_intensity
 from .background import background_radial, background_intensity
-from .fitting import ForwardModel, IntensityImage, synthesize_image, fit_parameters
+from .fitting import (
+    FIT_PARAMETERS, ForwardModel, IntensityImage, synthesize_image, fit_parameters,
+)
 from .plotio import write_csv, read_csv, render_plot
 from .validate import run_validation
 
@@ -164,17 +166,30 @@ def _read_image(path) -> IntensityImage:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _fit_arguments(args) -> tuple[tuple[str, ...], dict]:
+    """The ``--free`` names and ``--init`` values, checked against FIT_PARAMETERS."""
+    free = tuple(tok.strip() for tok in args.free.split(","))
+    init = {}
+    for pair in args.init.split(",") if args.init else ():
+        name, _, val = pair.partition("=")
+        try:
+            init[name.strip()] = float(val)
+        except ValueError:  # no '=' leaves val empty
+            raise ConfigError(f"--init expects name=value, got {pair!r}") from None
+    for flag, names in (("free", free), ("init", init)):
+        unknown = [name for name in names if name not in FIT_PARAMETERS]
+        if unknown:
+            raise ConfigError(f"--{flag}: unknown fit parameter {unknown[0]!r} "
+                              f"(choose from {', '.join(FIT_PARAMETERS)})")
+    return free, init
+
+
 def cmd_fit(args) -> int:
     cfg = _load(args)
     image = _read_image(args.image)
     image.exposure = args.exposure
     model = ForwardModel(cfg, mode=args.mode)
-    free = tuple(tok.strip() for tok in args.free.split(","))
-    init = {}
-    if args.init:
-        for pair in args.init.split(","):
-            name, _, val = pair.partition("=")
-            init[name.strip()] = float(val)
+    free, init = _fit_arguments(args)
     result = fit_parameters(model, image, free=free, init=init or None)
     out = _outdir(args)
     write_csv(out / "fit.csv", ["parameter", "value", "std_error"], [

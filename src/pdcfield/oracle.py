@@ -16,6 +16,12 @@ The grid pair kernel (``GridOperators``) is sampled from the ``FieldKernels``
 methods, never written out again here.  A depth provider writes the kernel
 blocks at a requested depth into buffers its caller owns; the one RK4
 (``_rk4_blocks``) serves ``solve_UV_ode`` and ``ab_consistency_defect``.
+By default ``solve_UV_ode`` picks its step count by step doubling: 8, 16,
+32, ... steps until the Richardson estimate max|W_2n - W_n|/15 meets
+``RK4_TOL``, and reports the estimate.  Its ``constraint_defect`` checks
+the identities of the Bogoliubov transformation, U+U - V^T conj(V) = 1 and
+U V^T = V U^T, which the depth equations conserve; it therefore measures
+integration error and shrinks with the step size.
 
 The grid symmetry machinery block-diagonalizes the depth integration and
 the series over the square-grid point group.  It changes nothing
@@ -456,11 +462,24 @@ class GridWorkspace:
 # Bogoliubov kernel construction
 
 
+class StepCountError(RuntimeError):
+    """Raised when the depth integration cannot meet its tolerance within
+    the step cap."""
+
+
+# Step-doubling control of the depth integration.  1e-9 leaves three decades
+# below the tightest gate that consumes a solve (1e-6); no solve in the
+# package comes near the cap.
+RK4_TOL = 1e-9
+RK4_START_STEPS = 8
+RK4_MAX_STEPS = 1024
+
+
 @dataclass
 class BogoliubovSolution:
     forward: KernelMatrix          # U, plain kernel convention
     conjugate: KernelMatrix        # V, plain kernel convention
-    constraint_defect: float       # max |U+U - V+V - 1| in weighted form
+    constraint_defect: float       # identity defect of the blocks, see _bogoliubov_defect
     info: dict
 
 
@@ -543,13 +562,54 @@ def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int, on_step
     return U, V
 
 
-def _blocks_constraint_defect(space: _BlockSpace, U, V) -> float:
-    blocks = []
+def _rk4_blocks_to_tol(provider, space: _BlockSpace, length: float):
+    """``_rk4_blocks`` at 8, 16, 32, ... steps until the step-doubling
+    estimate meets ``RK4_TOL``.
+
+    After each doubling the error of the 2n-step blocks is estimated as
+    max |W_2n - W_n| / 15 over the weight-absorbed U and V blocks
+    (Richardson; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
+    Returns the 2n-step blocks and an info dict with the step count, the
+    estimate, the tolerance and the RK4 steps taken in all; raises
+    StepCountError when the next doubling would pass ``RK4_MAX_STEPS``.
+    """
+    steps = RK4_START_STEPS
+    U, V = _rk4_blocks(provider, space, length, steps)
+    taken = steps
+    while 2 * steps <= RK4_MAX_STEPS:
+        steps *= 2
+        U2, V2 = _rk4_blocks(provider, space, length, steps)
+        taken += steps
+        estimate = max(
+            float(np.max(np.abs(fine - coarse)))
+            for fine, coarse in zip(U2 + V2, U + V)
+        ) / 15.0
+        U, V = U2, V2
+        if estimate <= RK4_TOL:
+            return U, V, {"steps": steps, "error_estimate": estimate,
+                          "tolerance": RK4_TOL, "steps_taken": taken}
+    raise StepCountError(
+        f"RK4 step-doubling estimate {estimate:.2e} at {steps} steps exceeds "
+        f"tolerance {RK4_TOL:g} (cap {RK4_MAX_STEPS} steps)"
+    )
+
+
+def _bogoliubov_defect(U, V) -> float:
+    """Largest entry of U+U - V^T conj(V) - 1 and of U V^T - V U^T.
+
+    Both are identities of the Bogoliubov transformation (Braunstein, PRA
+    71, 055801 (2005)) that the depth equations conserve, so the defect
+    measures integration error.  The point-group bases are real, so
+    conjugation and transposition act block by block and the defect is
+    taken on the weight-absorbed blocks as they are.
+    """
+    worst = 0.0
     for u, v in zip(U, V):
-        d = u.conj().T @ u - v.conj().T @ v
+        d = u.conj().T @ u - v.T @ v.conj()
         np.fill_diagonal(d, np.diagonal(d) - 1.0)
-        blocks.append(d)
-    return float(np.max(np.abs(space.spread(blocks))))
+        uvt = u @ v.T
+        worst = max(worst, float(np.max(np.abs(d))), float(np.max(np.abs(uvt - uvt.T))))
+    return worst
 
 
 def _plain_from_blocks(grid: ModeGrid, space: _BlockSpace, blocks) -> KernelMatrix:
@@ -561,30 +621,39 @@ def _plain_from_blocks(grid: ModeGrid, space: _BlockSpace, blocks) -> KernelMatr
 def solve_UV_ode(
     kern: FieldKernels,
     grid: ModeGrid,
-    steps: int = 64,
+    steps: int | None = None,
     length: float | None = None,
     symmetry: bool = True,
     workspace: GridWorkspace | None = None,
 ) -> BogoliubovSolution:
     """Integrate the forward/conjugate kernel pair through the crystal.
 
-    Fixed-step classical fourth-order integration of the coupled pair,
-    from the identity/zero initial kernels, with the fully z-dependent
-    pair kernel.  ``symmetry=True`` block-diagonalizes over the square
-    grid point group when the grid allows it (same result to rounding).
+    Classical fourth-order integration of the coupled pair, from the
+    identity/zero initial kernels, with the fully z-dependent pair kernel.
+    With ``steps=None`` the step count doubles from 8 until the
+    step-doubling error estimate meets ``RK4_TOL`` (``_rk4_blocks_to_tol``);
+    ``info`` then also holds ``error_estimate``, ``tolerance`` and
+    ``steps_taken``.  An explicit ``steps`` (at least 64) runs that fixed
+    count.  ``constraint_defect`` is the Bogoliubov identity defect of the
+    result.  ``symmetry=True`` block-diagonalizes over the square grid
+    point group when the grid allows it (same result to rounding).
     """
-    if steps < 64:
+    if steps is not None and steps < 64:
         raise ValueError("steps must be >= 64")
     if workspace is None:
         workspace = GridWorkspace(kern, grid, length, symmetry)
     space = workspace.space
-    U, V = _rk4_blocks(workspace.provider, space, workspace.length, steps)
-    defect = _blocks_constraint_defect(space, U, V)
+    if steps is None:
+        U, V, info = _rk4_blocks_to_tol(workspace.provider, space, workspace.length)
+    else:
+        U, V = _rk4_blocks(workspace.provider, space, workspace.length, steps)
+        info = {"steps": steps}
+    info["blocks"] = _block_dims(space)
     return BogoliubovSolution(
         forward=_plain_from_blocks(grid, space, U),
         conjugate=_plain_from_blocks(grid, space, V),
-        constraint_defect=defect,
-        info={"steps": steps, "blocks": _block_dims(space)},
+        constraint_defect=_bogoliubov_defect(U, V),
+        info=info,
     )
 
 

@@ -8,10 +8,11 @@ checks (idler and background depth expansions) run on the caller's
 configuration.  Each check returns a CheckResult; `run_validation`
 collects the standard table.
 
-Each kernel pair is integrated once per `run_validation` call and freed
-after its checks: `check_bogoliubov_constraint` (gain 0.2) feeds
-`check_series_vs_ode`, `check_squeezed_kernels` (gain 0.3) feeds
-`check_uv_product_symmetry`, and the solve is timed in the first row.
+Each kernel pair goes through one step-doubling depth integration per
+`run_validation` call and is freed after its checks:
+`check_bogoliubov_constraint` (gain 0.2) feeds `check_series_vs_ode`,
+`check_squeezed_kernels` (gain 0.3) feeds `check_uv_product_symmetry`, and
+the solve is timed in the first row.
 """
 
 from __future__ import annotations
@@ -251,23 +252,26 @@ def check_diamond_algebra(cfg: ExperimentConfig) -> CheckResult:
 
 
 def check_bogoliubov_constraint(
-    squeezing: float = 0.2, k_count: int = 17, omega_count: int = 9, steps: int = 64
+    squeezing: float = 0.2, k_count: int = 17, omega_count: int = 9
 ):
-    """Returns the check plus the solution blocks and workspace for reuse."""
+    """Bogoliubov identity defect of the depth integration, whose step count
+    comes from the step-doubling tolerance loop.  Returns the check plus the
+    solution blocks and workspace for reuse."""
     t0 = time.perf_counter()
     cfg = thin_reference_config(squeezing)
     grid = thin_reference_grid(cfg, k_count, omega_count)
     workspace = oracle.GridWorkspace(FieldKernels(cfg), grid)
-    u_blocks, v_blocks = oracle._rk4_blocks(
-        workspace.provider, workspace.space, workspace.length, steps
+    u_blocks, v_blocks, info = oracle._rk4_blocks_to_tol(
+        workspace.provider, workspace.space, workspace.length
     )
-    defect = oracle._blocks_constraint_defect(workspace.space, u_blocks, v_blocks)
     res = _result(
         f"Bogoliubov constraint (gain {squeezing}, grid "
         f"{k_count}x{k_count}x{omega_count})",
-        defect,
+        oracle._bogoliubov_defect(u_blocks, v_blocks),
         1e-6,
         t0,
+        note=f"RK4 {info['steps']} steps ({info['steps_taken']} taken), error estimate "
+             f"{info['error_estimate']:.1e} (tol {info['tolerance']:g})",
     )
     return res, (u_blocks, v_blocks), workspace
 
@@ -345,7 +349,7 @@ def check_squeezed_kernels() -> tuple[CheckResult, oracle.BogoliubovSolution]:
     t0 = time.perf_counter()
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    sol = oracle.solve_UV_ode(kern, thin_reference_grid(cfg), steps=64)
+    sol = oracle.solve_UV_ode(kern, thin_reference_grid(cfg))
     a_mat, b_mat = oracle.build_AB(sol.forward, sol.conjugate)
     aw = a_mat.to_weighted().matrix
     herm = float(np.max(np.abs(aw - aw.conj().T)) / np.max(np.abs(aw)))
@@ -363,7 +367,12 @@ def check_squeezed_kernels() -> tuple[CheckResult, oracle.BogoliubovSolution]:
 
 
 def check_uv_product_symmetry(sol: oracle.BogoliubovSolution) -> CheckResult:
-    """Forward x conjugate product symmetry of `check_squeezed_kernels`' solution."""
+    """Forward x conjugate product symmetry of `check_squeezed_kernels`' solution.
+
+    (UV)^T = UV holds only while the pair kernel commutes with itself across
+    depths, so this flags how far the configuration is from a thin crystal;
+    the Bogoliubov identity U V^T = V U^T is in `check_bogoliubov_constraint`.
+    """
     t0 = time.perf_counter()
     uv = sol.forward.to_weighted().matrix @ sol.conjugate.to_weighted().matrix
     defect = float(np.max(np.abs(uv - uv.T)) / np.max(np.abs(uv)))
@@ -372,6 +381,7 @@ def check_uv_product_symmetry(sol: oracle.BogoliubovSolution) -> CheckResult:
         defect,
         1e-3,
         t0,
+        note="thin-crystal flag, not a Bogoliubov identity",
     )
 
 

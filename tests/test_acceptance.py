@@ -34,19 +34,19 @@ def _report(num, passed, detail):
 def test_criterion_1_bogoliubov_constraint():
     # depth-integrated kernels on the default-size grid: constraint defect
     # below 1e-6, order-4 series within 1e-5, within the runtime budget
-    t0 = time.time()
+    t0 = time.perf_counter()
     res, uv_blocks, workspace = check_bogoliubov_constraint(
-        squeezing=0.2, k_count=17, omega_count=9, steps=64
+        squeezing=0.2, k_count=17, omega_count=9
     )
     series_res = check_series_vs_ode(uv_blocks, workspace)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = res.passed and series_res.passed and elapsed < 60.0
     _report(
         1,
         ok,
         f"constraint defect {res.value:.2e} (tol 1e-6), series vs depth "
         f"integration {series_res.value:.2e} (tol 1e-5), runtime {elapsed:.0f}s "
-        f"(< 60s) on a 17x17x9 grid at gain 0.2",
+        f"(< 60s) on a 17x17x9 grid at gain 0.2, {res.note}",
     )
 
 

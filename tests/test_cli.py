@@ -293,3 +293,25 @@ def test_fit_rejects_malformed_image_csv(tmp_path, config_path, capsys, body):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--free", "seed_photons,g_factor"),
+    ("--init", "squeezing"),
+    ("--init", "squeezing=abc"),
+    ("--init", "g_factor=1.0"),
+], ids=["unknown-free", "init-without-value", "init-non-numeric", "unknown-init"])
+def test_fit_rejects_bad_parameter_arguments(tmp_path, config_path, capsys, flag, value):
+    assert main([
+        "--outdir", str(tmp_path), "image", "--config", config_path,
+        "--nx", "8", "--ny", "4", "--no-svg",
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "--outdir", str(tmp_path), "fit", "--config", config_path,
+        "--image", str(tmp_path / "image.csv"), flag, value, "--no-svg",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "Traceback" not in err
+    assert not (tmp_path / "fit.csv").exists()

@@ -213,6 +213,106 @@ def test_solver_rejects_few_steps():
         oracle.solve_UV_ode(kern, grid, steps=32)
 
 
+def test_solver_tolerance_contract(monkeypatch):
+    cfg = thin_reference_config(0.2)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 8, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
+    info = sol.info
+    assert info["tolerance"] == oracle.RK4_TOL
+    assert info["error_estimate"] <= info["tolerance"]
+    assert info["steps"] >= 2 * oracle.RK4_START_STEPS
+    # every doubling from the start count up to the returned count was run
+    assert info["steps_taken"] == 2 * info["steps"] - oracle.RK4_START_STEPS
+    assert info["blocks"] == oracle._block_dims(ws.space)
+    assert sol.constraint_defect < 1e-10
+    # a tolerance the step cap cannot meet raises instead of returning
+    monkeypatch.setattr(oracle, "RK4_TOL", 1e-18)
+    monkeypatch.setattr(oracle, "RK4_MAX_STEPS", 32)
+    with pytest.raises(oracle.StepCountError, match="32 steps"):
+        oracle.solve_UV_ode(kern, grid, workspace=ws)
+
+
+def test_step_doubling_estimate_is_honest():
+    cfg = thin_reference_config(0.5)
+    kern = FieldKernels(cfg)
+    ws = oracle.GridWorkspace(kern, thin_reference_grid(cfg, 9, 8))
+    U, V, info = oracle._rk4_blocks_to_tol(ws.provider, ws.space, ws.length)
+    U_ref, V_ref = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 512)
+    true_error = max(
+        float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_ref + V_ref)
+    )
+    assert true_error <= 2.0 * info["error_estimate"] <= 2.0 * oracle.RK4_TOL
+
+
+def test_fixed_steps_bit_identical_to_rk4():
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    sol = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
+    U, V = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
+    assert sol.info == {"steps": 64, "blocks": oracle._block_dims(ws.space)}
+    assert np.array_equal(sol.forward.matrix, oracle._plain_from_blocks(grid, ws.space, U).matrix)
+    assert np.array_equal(sol.conjugate.matrix, oracle._plain_from_blocks(grid, ws.space, V).matrix)
+
+
+def test_identity_defect_at_gain_one():
+    # U+U - V+V - 1, the quantity checked before, is 2 max|Im V+V|: a physical
+    # value that fails the 1e-6 gate at gain 1.0 however fine the steps
+    cfg = thin_reference_config(1.0)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 9)
+    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    u = sol.forward.to_weighted().matrix
+    v = sol.conjugate.to_weighted().matrix
+    old = u.conj().T @ u - v.conj().T @ v - np.eye(grid.size)
+    assert np.max(np.abs(old)) > 1e-6
+    assert sol.constraint_defect <= 1e-10
+
+
+def _rk4_textbook(ws, steps, drop_last_stage=False):
+    """Textbook RK4 of dU = V H / 2, dV = U conj(H) / 2 on the workspace
+    blocks; with ``drop_last_stage`` the end-of-step slope is replaced by
+    the third."""
+    dims = oracle._block_dims(ws.space)
+    U = [np.eye(d, dtype=complex) for d in dims]
+    V = [np.zeros((d, d), dtype=complex) for d in dims]
+    h = ws.length / steps
+
+    def kernel(z):
+        out = [np.empty((d, d), dtype=complex) for d in dims]
+        ws.provider.blocks(z, out)
+        return out
+
+    def slope(H, u, v):
+        return 0.5 * v @ H, 0.5 * u @ np.conj(H)
+
+    for i in range(steps):
+        z = i * h
+        H_lo, H_mid, H_hi = kernel(z), kernel(z + 0.5 * h), kernel(z + h)
+        for s in range(len(dims)):
+            u, v = U[s], V[s]
+            k1 = slope(H_lo[s], u, v)
+            k2 = slope(H_mid[s], u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+            k3 = slope(H_mid[s], u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+            k4 = k3 if drop_last_stage else slope(H_hi[s], u + h * k3[0], v + h * k3[1])
+            U[s] = u + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            V[s] = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return U, V
+
+
+def test_identity_defect_flags_broken_integrator():
+    cfg = thin_reference_config(0.3)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 9, 8))
+    U, V = _rk4_textbook(ws, 64)
+    U_pkg, V_pkg = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_pkg + V_pkg)) < 1e-12
+    assert oracle._bogoliubov_defect(U, V) < 1e-10
+    assert oracle._bogoliubov_defect(*_rk4_textbook(ws, 64, drop_last_stage=True)) > 1e-6
+
+
 def test_symmetry_engine_equals_plain():
     cfg = thin_reference_config(0.35)
     kern = FieldKernels(cfg)
@@ -224,7 +324,9 @@ def test_symmetry_engine_equals_plain():
     scale_v = np.max(np.abs(plain.conjugate.matrix))
     assert np.max(np.abs(sym.forward.matrix - plain.forward.matrix)) < 1e-12 * scale_u
     assert np.max(np.abs(sym.conjugate.matrix - plain.conjugate.matrix)) < 1e-12 * scale_v
-    assert sym.constraint_defect == pytest.approx(plain.constraint_defect, rel=1e-6, abs=1e-15)
+    # the identity defect is integration error at rounding level, which the
+    # two evaluation orders share only to rounding
+    assert sym.constraint_defect == pytest.approx(plain.constraint_defect, rel=0, abs=1e-13)
 
 
 def test_symmetry_engine_equals_plain_thick_crystal():

@@ -4,6 +4,8 @@ standard configuration must pass every check and exit 0."""
 import re
 import warnings
 
+import pytest
+
 from pdcfield import oracle, validate
 from pdcfield.config import load_config
 from pdcfield.cli import main
@@ -12,8 +14,9 @@ from test_cli import CONFIG
 
 
 def test_validate_cli_all_pass(tmp_path, capsys, monkeypatch):
-    # each reference kernel pair is integrated once per run: gain 0.2 and
-    # gain 0.3 on 9x9x9, and the single-frequency depth-equation trajectory
+    # each reference kernel pair goes through one step-doubling loop per run
+    # (gain 0.2, then gain 0.3 on 9x9x9, each meeting the tolerance at 16
+    # steps), then the fixed 256-step depth-equation trajectory
     integrations = []
     rk4 = oracle._rk4_blocks
 
@@ -35,13 +38,30 @@ def test_validate_cli_all_pass(tmp_path, capsys, monkeypatch):
     assert len(names) == len(set(names)) == 16
     flags = [float(ln.rsplit(",", 2)[-2]) for ln in lines[1:]]
     assert all(f == 1.0 for f in flags), out
-    assert len(integrations) == 3, integrations
+    assert [steps for _, steps in integrations] == [8, 16, 8, 16, 256], integrations
     assert not caught, [str(w.message) for w in caught]
     assert code == 0
 
 
-def test_quadrature_rows_report_achieved_error():
-    rows = {r.name: r for r in validate.run_validation(load_config(CONFIG))}
+@pytest.fixture(scope="module")
+def rows():
+    return {r.name: r for r in validate.run_validation(load_config(CONFIG))}
+
+
+def test_bogoliubov_row_reports_step_count_and_estimate(rows):
+    row = rows["Bogoliubov constraint (gain 0.2, grid 9x9x9)"]
+    match = re.fullmatch(
+        r"RK4 (\d+) steps \((\d+) taken\), error estimate (\S+) \(tol (\S+)\)", row.note
+    )
+    assert match, row.note
+    steps, taken = map(int, match.groups()[:2])
+    estimate, tol = map(float, match.groups()[2:])
+    assert (steps, taken) == (16, 24)
+    assert tol == oracle.RK4_TOL and estimate <= tol
+    assert row.value < 1e-10
+
+
+def test_quadrature_rows_report_achieved_error(rows):
     for name in ("idler closed form vs depth quadrature (L2)",
                  "background closed form vs double depth quadrature"):
         match = re.fullmatch(r"quadrature error (\S+) \(rtol (\S+)\)", rows[name].note)
