@@ -23,12 +23,17 @@ the identities of the Bogoliubov transformation, U+U - V^T conj(V) = 1 and
 U V^T = V U^T, which the depth equations conserve; it therefore measures
 integration error and shrinks with the step size.
 
-The grid symmetry machinery block-diagonalizes the depth integration and
-the series over the square-grid point group.  It changes nothing
-numerically (verified against the plain path in the tests); it only makes
-the default-size runs fast on one core.  The thin-crystal matrix cosh/sinh
-needs no blocks: its matrix is a Kronecker product of one small factor per
-grid axis, so any grid is diagonalized axis by axis.
+On a centered square K grid the depth integration and the series run
+block by block over the grid's point group.  The blocks come from the grid
+itself, not from a character table: each K axis pairs every point with its
+mirror image into an even and an odd combination, and the x <-> y exchange
+splits the products of an x and a y factor into the five symmetry types
+(``square_grid_blocks``).  Each block keeps a small dense real basis over
+the K modes; the omega identity stays implicit.  The blocks change nothing
+numerically (verified against the plain path in the tests); they only
+make the default-size runs fast on one core.  The thin-crystal matrix
+cosh/sinh needs no blocks: its matrix is a Kronecker product of one small
+factor per grid axis, so any grid is diagonalized axis by axis.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .background import hh_contraction
 from .config import ExperimentConfig, seed_shift
@@ -83,6 +87,8 @@ class ModeGrid:
             n = ax.size
             if n != 1 and n < 8:
                 raise ValueError(f"{name} axis needs 1 or >= 8 points, got {n}")
+            if not (np.all(np.isfinite(ax)) and np.all(np.diff(ax) > 0.0)):
+                raise ValueError(f"{name} axis must be finite and strictly increasing")
         self.axis_weights = [_trapezoid_weights(a) for a in (self.kx, self.ky, self.omega_axis)]
         KX, KY, OM = np.meshgrid(self.kx, self.ky, self.omega_axis, indexing="ij")
         self.K = np.stack([KX.ravel(), KY.ravel()], axis=-1)
@@ -171,13 +177,16 @@ def identity_kernel(grid: ModeGrid, weighted: bool = False) -> KernelMatrix:
     return KernelMatrix(grid, np.diag(1.0 / grid.weight).astype(complex), False)
 
 
+def _same_grid(a: ModeGrid, b: ModeGrid) -> bool:
+    return a is b or all(
+        np.array_equal(x, y)
+        for x, y in zip((a.kx, a.ky, a.omega_axis), (b.kx, b.ky, b.omega_axis))
+    )
+
+
 def diamond_contract(a: KernelMatrix, b: KernelMatrix) -> KernelMatrix:
     """Weighted matrix product implementing the mode contraction."""
-    if a.grid is not b.grid and (
-        a.grid.shape != b.grid.shape
-        or not np.array_equal(a.grid.K, b.grid.K)
-        or not np.array_equal(a.grid.omega, b.grid.omega)
-    ):
+    if not _same_grid(a.grid, b.grid):
         raise GridMismatchError("kernel matrices live on different grids")
     if a.weighted != b.weighted:
         raise GridMismatchError("mixed weighted/plain kernel matrices")
@@ -223,43 +232,69 @@ class GridOperators:
 class _BlockSpace:
     """Orthogonal decomposition of grid space into invariant blocks.
 
-    ``bases`` holds one orthonormal basis per block as a sparse matrix;
-    ``copies`` holds, per block, every basis on which the block repeats
-    (two for the paired two-dimensional symmetry type, one otherwise).
+    ``copies`` holds, per block, every K-mode basis on which the block
+    repeats (two for the paired two-dimensional symmetry type, one
+    otherwise): a dense real orthonormal matrix of K modes by block
+    columns.  The full basis of a copy is its Kronecker product with the
+    identity on the ``nw`` omega samples, which is never formed; complex
+    operands are viewed as real (re, im) pairs so that every product with a
+    basis runs in real arithmetic.
     """
 
-    def __init__(self, bases, copies):
-        self.bases = bases
+    def __init__(self, copies, nw: int):
         self.copies = copies
+        self.nk = copies[0][0].shape[0]
+        self.nw = nw
 
     @property
     def nblocks(self):
-        return len(self.bases)
+        return len(self.copies)
 
     def project(self, full: np.ndarray):
-        return [np.asarray((b.T @ full) @ b) for b in self.bases]
+        nk, nw = self.nk, self.nw
+        firsts = [basis_list[0] for basis_list in self.copies]
+        # left[a, (w, j, w', re/im)]: the row K index i contracted with every basis
+        left = np.hstack(firsts).T @ full.view(float).reshape(nk, -1)
+        blocks = []
+        row = 0
+        for q in firsts:
+            d = q.shape[1]
+            blk = np.matmul(q.T, left[row:row + d].reshape(d * nw, nk, 2 * nw))
+            blocks.append(blk.view(complex).reshape(d * nw, d * nw))
+            row += d
+        return blocks
 
     def spread(self, blocks) -> np.ndarray:
-        n = self.copies[0][0].shape[0]
-        out = np.zeros((n, n), dtype=blocks[0].dtype)
+        nk, nw = self.nk, self.nw
+        # right[(a, w), j, (w', re/im)]: each copy's column index expanded to K
+        right = np.empty((nk * nw, nk, 2 * nw))
+        row = 0
         for blk, basis_list in zip(blocks, self.copies):
-            for b in basis_list:
-                out += np.asarray((b @ blk) @ b.T)
-        return out
+            for q in basis_list:
+                d = q.shape[1]
+                np.matmul(q, blk.view(float).reshape(d * nw, d, 2 * nw),
+                          out=right[row:row + d * nw])
+                row += d * nw
+        basis = np.hstack([q for basis_list in self.copies for q in basis_list])
+        return (basis @ right.reshape(nk, -1)).view(complex).reshape(nk * nw, nk * nw)
 
 
 def _trivial_space(n: int) -> _BlockSpace:
-    b = sp.identity(n, format="csr")
-    return _BlockSpace([b], [[b]])
+    # one block: a single K "mode" whose omega identity spans the grid
+    return _BlockSpace([[np.ones((1, 1))]], n)
 
 
-_D4_CHARACTERS = {
-    # element order: e, r90, r180, r270, mx, my, diag, antidiag
-    "A1": (1, 1, 1, 1, 1, 1, 1, 1),
-    "A2": (1, 1, 1, 1, -1, -1, -1, -1),
-    "B1": (1, -1, 1, -1, 1, 1, -1, -1),
-    "B2": (1, -1, 1, -1, -1, -1, 1, 1),
-}
+def _exchange_parts(f: np.ndarray):
+    """Orthonormal parts of f (x) f that are even and odd under the exchange
+    of the two factors."""
+    p = f.shape[1]
+    ff = np.kron(f, f)
+    parts = []
+    for sign, offset in ((1.0, 0), (-1.0, 1)):
+        a, b = np.triu_indices(p, offset)
+        part = ff[:, a * p + b] + sign * ff[:, b * p + a]
+        parts.append(part / np.linalg.norm(part, axis=0))
+    return parts
 
 
 def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
@@ -268,118 +303,33 @@ def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
     Returns None when the grid lacks the symmetry.  Kernels built from
     rotationally invariant combinations of the two transverse wave vectors
     commute with every block, so grid operators act blockwise.
+
+    On each K axis, every point and its mirror image combine into an even
+    and an odd unit vector (the centre point of an odd axis is even).
+    Products of an x and a y factor are then even or odd under both
+    mirrors; the x <-> y exchange splits even(x)even and odd(x)odd into
+    symmetric and antisymmetric parts, the types A1, B1, B2 and A2, and
+    maps even(x)odd onto odd(x)even, the two copies of the paired type E.
     """
     kx, ky = grid.kx, grid.ky
-    n = kx.size
-    if n != ky.size or not np.array_equal(kx, ky):
-        return None
     scale = max(abs(kx[0]), abs(kx[-1]), 1.0)
-    mirror = np.empty(n, dtype=int)
-    for i, v in enumerate(kx):
-        j = np.argmin(np.abs(kx + v))
-        if abs(kx[j] + v) > 1e-12 * scale:
-            return None
-        mirror[i] = j
-
-    idx = np.arange(n)
-    grids = np.meshgrid(idx, idx, indexing="ij")
-    flat = lambda ix, iy: ix * n + iy
-    e = flat(grids[0], grids[1]).ravel()
-    mx = flat(mirror[grids[0]], grids[1]).ravel()
-    my = flat(grids[0], mirror[grids[1]]).ravel()
-    r180 = flat(mirror[grids[0]], mirror[grids[1]]).ravel()
-    diag = flat(grids[1], grids[0]).ravel()
-    anti = flat(mirror[grids[1]], mirror[grids[0]]).ravel()
-    r90 = flat(mirror[grids[1]], grids[0]).ravel()
-    r270 = flat(grids[1], mirror[grids[0]]).ravel()
-    perms = [e, r90, r180, r270, mx, my, diag, anti]
-
-    nk = n * n
-    seen = np.zeros(nk, dtype=bool)
-    columns = {name: ([], [], []) for name in _D4_CHARACTERS}  # rows, cols, vals
-    e_plus_cols = []
-    e_minus_cols = []
-
-    for pt in range(nk):
-        if seen[pt]:
-            continue
-        images = [g[pt] for g in perms]
-        orbit = sorted(set(images))
-        seen[orbit] = True
-        local = {g: i for i, g in enumerate(orbit)}
-        ell = len(orbit)
-
-        for name, chars in _D4_CHARACTERS.items():
-            vec = np.zeros(ell)
-            for ch, img in zip(chars, images):
-                vec[local[img]] += ch
-            nrm = np.linalg.norm(vec)
-            if nrm > 1e-9:
-                rows, cols, vals = columns[name]
-                col = cols[-1] + 1 if cols else 0
-                for member, v in zip(orbit, vec / nrm):
-                    if v != 0.0:
-                        rows.append(member)
-                        cols.append(col)
-                        vals.append(v)
-
-        # paired two-dimensional type: odd under r180, even under my,
-        # partner column generated by the quarter-turn difference
-        perm_loc = {}
-        for gname, g in zip(
-            ("r90", "r180", "r270", "my"), (r90, r180, r270, my)
-        ):
-            m = np.zeros((ell, ell))
-            for member in orbit:
-                m[local[g[member]], local[member]] = 1.0
-            perm_loc[gname] = m
-        proj = 0.25 * (np.eye(ell) - perm_loc["r180"]) @ (np.eye(ell) + perm_loc["my"])
-        u, s, _ = np.linalg.svd(proj)
-        for k in range(ell):
-            if s[k] > 1e-9:
-                vec = u[:, k]
-                partner = 0.5 * (perm_loc["r90"] - perm_loc["r270"]) @ vec
-                if abs(np.linalg.norm(partner) - 1.0) > 1e-9:
-                    return None  # quarter-turn pairing failed; use plain path
-                e_plus_cols.append((orbit, vec))
-                e_minus_cols.append((orbit, partner))
-
-    def assemble(entries):
-        rows, cols, vals = [], [], []
-        for col, (orbit, vec) in enumerate(entries):
-            for member, v in zip(orbit, vec):
-                if abs(v) > 1e-14:
-                    rows.append(member)
-                    cols.append(col)
-                    vals.append(v)
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(nk, len(entries))
-        )
-
-    bases_k = []
-    copies_k = []
-    for name in _D4_CHARACTERS:
-        rows, cols, vals = columns[name]
-        if not cols:
-            continue
-        b = sp.csr_matrix((vals, (rows, cols)), shape=(nk, max(cols) + 1))
-        bases_k.append(b)
-        copies_k.append([b])
-    if e_plus_cols:
-        b_plus = assemble(e_plus_cols)
-        b_minus = assemble(e_minus_cols)
-        bases_k.append(b_plus)
-        copies_k.append([b_plus, b_minus])
-
-    total = sum(c[0].shape[1] * len(c) for c in copies_k)
-    if total != nk:
-        return None  # incomplete decomposition; fall back to the plain path
-
-    nw = grid.omega_axis.size
-    eye_w = sp.identity(nw, format="csr")
-    bases = [sp.kron(b, eye_w, format="csr") for b in bases_k]
-    copies = [[sp.kron(b, eye_w, format="csr") for b in cl] for cl in copies_k]
-    return _BlockSpace(bases, copies)
+    if not np.array_equal(kx, ky) or np.max(np.abs(kx + kx[::-1])) > 1e-12 * scale:
+        return None
+    n = kx.size
+    half = n // 2
+    i = np.arange(half)
+    even = np.zeros((n, n - half))
+    odd = np.zeros((n, half))
+    even[i, i] = even[n - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
+    odd[n - 1 - i, i] = -math.sqrt(0.5)
+    if n % 2:
+        even[half, half] = 1.0
+    a1, b1 = _exchange_parts(even)
+    b2, a2 = _exchange_parts(odd)
+    e = np.kron(even, odd)
+    e_swapped = e.reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1)
+    copies = [[a1], [a2], [b1], [b2], [e, e_swapped]]
+    return _BlockSpace([c for c in copies if c[0].shape[1]], grid.omega_axis.size)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +408,21 @@ class GridWorkspace:
         self.provider = _make_provider(self.ops, self.space, length)
 
 
+def _workspace_for(kern: FieldKernels, grid: ModeGrid, length: float | None,
+                   symmetry: bool, workspace: GridWorkspace | None) -> GridWorkspace:
+    """``workspace`` if it was built for this config, grid and length; a new
+    workspace when none is given."""
+    if workspace is None:
+        return GridWorkspace(kern, grid, length, symmetry)
+    if (
+        workspace.kern.cfg != kern.cfg
+        or not _same_grid(workspace.grid, grid)
+        or (length is not None and length != workspace.length)
+    ):
+        raise GridMismatchError("workspace was built for a different config, grid or length")
+    return workspace
+
+
 # ---------------------------------------------------------------------------
 # Bogoliubov kernel construction
 
@@ -484,7 +449,7 @@ class BogoliubovSolution:
 
 
 def _block_dims(space: _BlockSpace):
-    return [b.shape[1] for b in space.bases]
+    return [basis_list[0].shape[1] * space.nw for basis_list in space.copies]
 
 
 def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int, on_step=None):
@@ -571,7 +536,8 @@ def _rk4_blocks_to_tol(provider, space: _BlockSpace, length: float):
     (Richardson; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
     Returns the 2n-step blocks and an info dict with the step count, the
     estimate, the tolerance and the RK4 steps taken in all; raises
-    StepCountError when the next doubling would pass ``RK4_MAX_STEPS``.
+    StepCountError when the estimate is not finite or the next doubling
+    would pass ``RK4_MAX_STEPS``.
     """
     steps = RK4_START_STEPS
     U, V = _rk4_blocks(provider, space, length, steps)
@@ -588,6 +554,8 @@ def _rk4_blocks_to_tol(provider, space: _BlockSpace, length: float):
         if estimate <= RK4_TOL:
             return U, V, {"steps": steps, "error_estimate": estimate,
                           "tolerance": RK4_TOL, "steps_taken": taken}
+        if not math.isfinite(estimate):
+            break
     raise StepCountError(
         f"RK4 step-doubling estimate {estimate:.2e} at {steps} steps exceeds "
         f"tolerance {RK4_TOL:g} (cap {RK4_MAX_STEPS} steps)"
@@ -640,8 +608,7 @@ def solve_UV_ode(
     """
     if steps is not None and steps < 64:
         raise ValueError("steps must be >= 64")
-    if workspace is None:
-        workspace = GridWorkspace(kern, grid, length, symmetry)
+    workspace = _workspace_for(kern, grid, length, symmetry, workspace)
     space = workspace.space
     if steps is None:
         U, V, info = _rk4_blocks_to_tol(workspace.provider, space, workspace.length)
@@ -673,8 +640,7 @@ def series_UV(
     """
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
-    if workspace is None:
-        workspace = GridWorkspace(kern, grid, length, symmetry)
+    workspace = _workspace_for(kern, grid, length, symmetry, workspace)
     space = workspace.space
     u_blocks, v_blocks = _series_blocks(workspace, order, z_nodes)
     return (

@@ -41,6 +41,26 @@ def test_grid_count_validation():
         oracle.build_grid(1e3, 5, q.omega_deg, 1e11, 9)
 
 
+@pytest.mark.parametrize("axis", ["kx", "omega_axis"])
+@pytest.mark.parametrize("spoil", ["descending", "repeated", "nan"])
+def test_grid_rejects_unordered_axis(axis, spoil):
+    # a descending axis gives negative trapezoid weights: before this check,
+    # kx reversed on the validate grid summed its weights to -9.3e16
+    cfg = thin_reference_config()
+    grid = thin_reference_grid(cfg, 9, 8)
+    axes = {"kx": grid.kx, "ky": grid.ky, "omega_axis": grid.omega_axis}
+    bad = axes[axis].copy()
+    if spoil == "descending":
+        bad = bad[::-1].copy()
+    elif spoil == "repeated":
+        bad[3] = bad[4]
+    else:
+        bad[3] = np.nan
+    axes[axis] = bad
+    with pytest.raises(ValueError, match="strictly increasing"):
+        oracle.ModeGrid(**axes)
+
+
 def test_grid_weight_sum():
     cfg = thin_reference_config()
     q = cfg.derive()
@@ -234,6 +254,41 @@ def test_solver_tolerance_contract(monkeypatch):
         oracle.solve_UV_ode(kern, grid, workspace=ws)
 
 
+def test_step_doubling_stops_on_non_finite_estimate():
+    # a kernel that turns non-finite must not be doubled on up to the step cap
+    cfg = thin_reference_config(0.2)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8))
+
+    class Poisoned:
+        def blocks(self, z, out):
+            ws.provider.blocks(z, out)
+            out[0][0, 0] = np.nan
+
+    with pytest.raises(oracle.StepCountError, match="estimate nan at 16 steps"):
+        oracle._rk4_blocks_to_tol(Poisoned(), ws.space, ws.length)
+
+
+def test_workspace_must_match_grid_and_config():
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 8, 8)
+    wide = oracle.build_grid(12.0 / cfg.pump.waist, 8, cfg.derive().omega_deg,
+                             8.0 * cfg.pump.bandwidth, 8)
+    other = FieldKernels(thin_reference_config(0.4))
+    for ws, kern_called in ((oracle.GridWorkspace(kern, wide), kern),
+                            (oracle.GridWorkspace(kern, grid), other)):
+        with pytest.raises(oracle.GridMismatchError):
+            oracle.solve_UV_ode(kern_called, grid, steps=64, workspace=ws)
+        with pytest.raises(oracle.GridMismatchError):
+            oracle.series_UV(kern_called, grid, workspace=ws)
+    ws = oracle.GridWorkspace(kern, grid)
+    with pytest.raises(oracle.GridMismatchError):
+        oracle.series_UV(kern, grid, length=0.5 * cfg.crystal.length, workspace=ws)
+    # an equal grid built separately is accepted
+    same = thin_reference_grid(cfg, 8, 8)
+    oracle.series_UV(FieldKernels(cfg), same, order=1, z_nodes=3, workspace=ws)
+
+
 def test_step_doubling_estimate_is_honest():
     cfg = thin_reference_config(0.5)
     kern = FieldKernels(cfg)
@@ -348,6 +403,31 @@ def test_symmetry_engine_equals_plain_thick_crystal():
     assert len(sym.info["blocks"]) > 1
     scale = np.max(np.abs(plain.conjugate.matrix))
     assert np.max(np.abs(sym.conjugate.matrix - plain.conjugate.matrix)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("k_count, omega_count", [(9, 8), (8, 8), (1, 8)])
+def test_square_grid_blocks_decompose_grid_space(k_count, omega_count):
+    cfg = thin_reference_config(0.3)
+    grid = thin_reference_grid(cfg, k_count, omega_count)
+    space = oracle.square_grid_blocks(grid)
+    bases = np.hstack([q for copies in space.copies for q in copies])
+    assert bases.shape == (k_count**2, k_count**2)
+    assert np.max(np.abs(bases.T @ bases - np.eye(k_count**2))) < 1e-14
+    dims = oracle._block_dims(space)
+    assert sum(d * len(c) for d, c in zip(dims, space.copies)) == grid.size
+    h = oracle.GridOperators(FieldKernels(cfg), grid).htilde(0.37 * cfg.crystal.length)
+    back = space.spread(space.project(h))
+    assert np.max(np.abs(back - h)) < 1e-14 * np.max(np.abs(h))
+
+
+def test_square_grid_blocks_dims_and_missing_symmetry():
+    cfg = thin_reference_config(0.3)
+    grid = thin_reference_grid(cfg, 17, 9)
+    # types A1, A2, B1, B2 and the paired E, each times the 9 omega samples
+    assert oracle._block_dims(oracle.square_grid_blocks(grid)) == [405, 252, 324, 324, 648]
+    kx = grid.kx
+    for axes in ((kx, 1.5 * kx), (kx + 0.1 * (kx[1] - kx[0]),) * 2):
+        assert oracle.square_grid_blocks(oracle.ModeGrid(*axes, grid.omega_axis)) is None
 
 
 def test_hyperbolic_subblock_no_symmetry_fallback():
@@ -668,8 +748,12 @@ def test_oracle_zeta2_vectorized_matches_single_points(shipped_idler_points):
 
 
 def test_package_import_leaves_scipy_integrate_out():
-    # scipy.integrate pulls in scipy.optimize and scipy.special on import
-    code = "import pdcfield, sys; assert 'scipy.integrate' not in sys.modules"
+    # numpy is the only runtime dependency: no scipy module at all is loaded
+    code = (
+        "import pdcfield, pdcfield.cli, sys; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
     src = str(Path(pdcfield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
