@@ -13,8 +13,13 @@ per axis: the 96-node value is returned together with its relative
 difference from the 64-node value, the achieved-error estimate.
 
 The grid pair kernel (``GridOperators``) is sampled from the ``FieldKernels``
-methods, never written out again here.  A depth provider writes the kernel
-blocks at a requested depth into buffers its caller owns; the one RK4
+methods, never written out again here, into small per-axis tables: on a
+tensor grid its magnitude is a product and its phase mismatch a sum of an
+x, a y and an omega term, so a grid matrix is formed only by broadcasting
+the tables.  A depth provider writes the kernel blocks at a requested
+depth into buffers its caller owns; the Taylor provider projects the real
+terms magnitude o Delta^k / k! and multiplies their blocks by the scalar
+pair_phase i^k.  The one RK4
 (``_rk4_blocks``) serves ``solve_UV_ode`` and ``ab_consistency_defect``.
 By default ``solve_UV_ode`` picks its step count by step doubling: 8, 16,
 32, ... steps until the Richardson estimate max|W_2n - W_n|/15 meets
@@ -32,8 +37,9 @@ splits the products of an x and a y factor into the five symmetry types
 the K modes; the omega identity stays implicit.  The blocks change nothing
 numerically (verified against the plain path in the tests); they only
 make the default-size runs fast on one core.  The thin-crystal matrix
-cosh/sinh needs no blocks: its matrix is a Kronecker product of one small
-factor per grid axis, so any grid is diagonalized axis by axis.
+cosh/sinh needs no blocks: its matrix is the Kronecker product of the
+same per-axis magnitude factors, so any grid is diagonalized axis by axis
+(Van Loan, J. Comput. Appl. Math. 123, 85 (2000)).
 """
 
 from __future__ import annotations
@@ -199,30 +205,110 @@ def diamond_contract(a: KernelMatrix, b: KernelMatrix) -> KernelMatrix:
 # grid operators for the pair kernel
 
 
-class GridOperators:
-    """Weight-absorbed pair-kernel matrices on a grid.
+def _magnitude_factors(kern: FieldKernels, grid: ModeGrid):
+    """Per-axis factors of the weight-absorbed pair-kernel magnitude, whose
+    Kronecker product is its grid matrix.
 
-    The depth dependence factorizes into a fixed complex matrix times an
-    elementwise phase exp(i z Delta).  Both pieces come from the kernel
-    bundle: ``base`` is ``pair_phase * bilinear_magnitude * sqrt(w_i w_j)``
-    and ``delta`` is ``phase_mismatch`` on every pair of grid modes.
+    The magnitude depends on K only through exp(-w^2 |K1 + K2|^2 / 4),
+    which splits into an x and a y factor (the kernel on one axis at
+    degeneracy over its on-axis peak), and the grid weights are a tensor
+    product.
+    """
+    omega_ref = 0.5 * kern.cfg.pump.omega
+    zero = np.zeros(2)
+    # zero only with a zero pair amplitude, which zeroes the omega factor
+    peak = kern.bilinear_magnitude(zero, zero, omega_ref, omega_ref) or 1.0
+    factors = []
+    for component, axis in enumerate((grid.kx, grid.ky)):
+        K = np.zeros((axis.size, 2))
+        K[:, component] = axis
+        factors.append(
+            kern.bilinear_magnitude(K[:, None], K[None, :], omega_ref, omega_ref) / peak
+        )
+    om = grid.omega_axis
+    factors.append(
+        kern.bilinear_magnitude(zero, zero, om[:, None], om[None, :]) / TWO_PI_CUBED
+    )
+    for factor, weights in zip(factors, grid.axis_weights):
+        factor *= np.sqrt(np.outer(weights, weights))
+    return factors
+
+
+class GridOperators:
+    """Weight-absorbed pair-kernel matrices on a grid, held as per-axis tables.
+
+    The pair kernel is ``pair_phase * bilinear_magnitude * exp(i z
+    phase_mismatch)``, and on a tensor grid both real pieces separate over
+    the axes.  The magnitude depends on K only through exp(-w^2 |K1 + K2|^2
+    / 4), a product of an x and a y factor, and the grid weights are a
+    product of per-axis weights.  The mismatch depends on K only through
+    the quadratic |K1/kz1 - K2/kz2|^2, a sum of an x and a y term whose
+    coefficient depends on the frequency pair.  Every table entry is
+    sampled from the ``FieldKernels`` methods on axis-only inputs; for modes
+    i = (x, y, a) and j = (x', y', b)::
+
+        magnitude_ij sqrt(w_i w_j) = Mx[x, x'] My[y, y'] Mw[a, b]
+        Delta_ij = Dx[x, a, x', b] + Dy[y, a, y', b] + Dw[a, b]
+
+    ``magnitude`` holds (Mx, My, Mw) and ``mismatch`` holds (Dx, Dy, Dw).
+    No grid-sized array is kept: ``htilde``, ``dense_magnitude`` and
+    ``dense_mismatch`` broadcast the tables to the grid when called.
     """
 
     def __init__(self, kern: FieldKernels, grid: ModeGrid):
         self.kern = kern
         self.grid = grid
-        K1, K2 = grid.K[:, None, :], grid.K[None, :, :]
-        w1, w2 = grid.omega[:, None], grid.omega[None, :]
-        self.delta = kern.phase_mismatch(K1, K2, w1, w2)
-        sw = np.sqrt(grid.weight)
-        magnitude = kern.bilinear_magnitude(K1, K2, w1, w2)
-        magnitude *= sw[:, None]
-        magnitude *= sw[None, :]
-        self.base = kern.pair_phase * magnitude
+        self.magnitude = _magnitude_factors(kern, grid)
+        om = grid.omega_axis
+        zero = np.zeros(2)
+        d_w = kern.phase_mismatch(zero, zero, om[:, None], om[None, :])
+        terms = []
+        for component, axis in enumerate((grid.kx, grid.ky)):
+            K = np.zeros((axis.size, 2))
+            K[:, component] = axis
+            # axes (K1, omega1, K2, omega2)
+            d = kern.phase_mismatch(K[:, None, None, None], K[None, None, :, None],
+                                    om[None, :, None, None], om[None, None, None, :])
+            terms.append(d - d_w[None, :, None, :])
+        self.mismatch = (*terms, d_w)
+
+    # the grid matrices are viewed as (x, y, omega, x', y', omega') arrays
 
     def htilde(self, z: float) -> np.ndarray:
         """Weight-absorbed pair kernel at depth z."""
-        return self.base * np.exp(1j * z * self.delta)
+        (mx, my, mw), (dx, dy, dw) = self.magnitude, self.mismatch
+        fx = mx[:, None, :, None] * np.exp(1j * z * dx)
+        fy = my[:, None, :, None] * np.exp(1j * z * dy)
+        fw = self.kern.pair_phase * mw * np.exp(1j * z * dw)
+        full = fx[:, None, :, :, None, :] * fy[None, :, :, None, :, :]
+        full *= fw[:, None, None, :]
+        return full.reshape(self.grid.size, self.grid.size)
+
+    def dense_magnitude(self) -> np.ndarray:
+        """Weight-absorbed |pair kernel| on every pair of grid modes."""
+        mx, my, mw = self.magnitude
+        full = mx[:, None, None, :, None, None] * my[None, :, None, None, :, None]
+        full = full * mw[:, None, None, :]
+        return full.reshape(self.grid.size, self.grid.size)
+
+    def dense_mismatch(self) -> np.ndarray:
+        """Phase mismatch on every pair of grid modes."""
+        dx, dy, dw = self.mismatch
+        full = dx[:, None, :, :, None, :] + dy[None, :, :, None, :, :]
+        full += dw[:, None, None, :]
+        return full.reshape(self.grid.size, self.grid.size)
+
+    def max_abs_mismatch(self) -> float:
+        """max |Delta| over every pair of grid modes, from the tables.
+
+        For each frequency pair the x and y terms range independently, so
+        the sum is extremal where both terms are; rounding is monotone, so
+        this equals the maximum of ``dense_mismatch`` exactly.
+        """
+        dx, dy, dw = self.mismatch
+        hi = dx.max(axis=(0, 2)) + dy.max(axis=(0, 2)) + dw
+        lo = dx.min(axis=(0, 2)) + dy.min(axis=(0, 2)) + dw
+        return float(max(np.max(np.abs(hi)), np.max(np.abs(lo))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +337,18 @@ class _BlockSpace:
         return len(self.copies)
 
     def project(self, full: np.ndarray):
+        """Blocks of a real or complex grid matrix, in its dtype."""
         nk, nw = self.nk, self.nw
         firsts = [basis_list[0] for basis_list in self.copies]
-        # left[a, (w, j, w', re/im)]: the row K index i contracted with every basis
+        # left[a, (w, j, w', re/im)]: the row K index i contracted with every
+        # basis; a real operand has no re/im axis
         left = np.hstack(firsts).T @ full.view(float).reshape(nk, -1)
         blocks = []
         row = 0
         for q in firsts:
             d = q.shape[1]
-            blk = np.matmul(q.T, left[row:row + d].reshape(d * nw, nk, 2 * nw))
-            blocks.append(blk.view(complex).reshape(d * nw, d * nw))
+            blk = np.matmul(q.T, left[row:row + d].reshape(d * nw, nk, -1))
+            blocks.append(blk.view(full.dtype).reshape(d * nw, d * nw))
             row += d
         return blocks
 
@@ -339,23 +427,30 @@ def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
 class _TaylorProvider:
     """Blockwise H(z) via an exact-in-practice phase Taylor expansion.
 
-    Valid when max |z * Delta| stays small enough that the truncated
-    exponential series is at machine precision; the caller checks this.
+    H(z) = pair_phase sum_k (iz)^k magnitude o Delta^k / k!.  Each real term
+    magnitude o Delta^k / k! is formed in one reused buffer and projected
+    in real arithmetic; its blocks are then multiplied by the constant
+    pair_phase i^k.  Valid when max |z * Delta| stays small enough that the
+    truncated exponential series is at machine precision; the caller
+    checks this.
     """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace, length: float):
-        max_arg = float(np.max(np.abs(ops.delta))) * length
+        max_arg = ops.max_abs_mismatch() * length
         kmax, term, fact = 1, max_arg, 1.0
         while term > 1e-13 and kmax < 24:
             kmax += 1
             fact *= kmax
             term = max_arg**kmax / fact
-        self.coeffs = []
-        work = ops.base.copy()
-        self.coeffs.append(space.project(work))
+        delta = ops.dense_mismatch()
+        work = ops.dense_magnitude()
+        phase = ops.kern.pair_phase
+        self.coeffs = [[phase * blk for blk in space.project(work)]]
         for k in range(1, kmax + 1):
-            work *= 1j * ops.delta / k
-            self.coeffs.append(space.project(work))
+            work *= delta
+            work /= k
+            phase = phase * 1j
+            self.coeffs.append([phase * blk for blk in space.project(work)])
 
     def blocks(self, z: float, out) -> None:
         """Write the blocks of H(z) into ``out`` by Horner's rule."""
@@ -380,7 +475,7 @@ class _DirectProvider:
 
 
 def _make_provider(ops: GridOperators, space: _BlockSpace, length: float):
-    if float(np.max(np.abs(ops.delta))) * length <= 1.5:
+    if ops.max_abs_mismatch() * length <= 1.5:
         return _TaylorProvider(ops, space, length)
     return _DirectProvider(ops, space)
 
@@ -392,16 +487,19 @@ class GridWorkspace:
     the depth integration and the series share them.  ``symmetry=True``
     block-diagonalizes over the square-grid point group when the grid
     allows it; otherwise, or with ``symmetry=False``, one block spans the
-    grid.
+    grid.  A negative ``length`` raises ValueError.
     """
 
     def __init__(self, kern: FieldKernels, grid: ModeGrid,
                  length: float | None = None, symmetry: bool = True):
         if length is None:
             length = kern.cfg.crystal.length
+        if not length >= 0.0:
+            raise ValueError(f"length must be >= 0, got {length}")
         self.kern = kern
         self.grid = grid
         self.length = length
+        self.symmetry = symmetry
         self.ops = GridOperators(kern, grid)
         space = square_grid_blocks(grid) if symmetry and grid.size > 1 else None
         self.space = space if space is not None else _trivial_space(grid.size)
@@ -410,16 +508,19 @@ class GridWorkspace:
 
 def _workspace_for(kern: FieldKernels, grid: ModeGrid, length: float | None,
                    symmetry: bool, workspace: GridWorkspace | None) -> GridWorkspace:
-    """``workspace`` if it was built for this config, grid and length; a new
-    workspace when none is given."""
+    """``workspace`` if it was built for this config, grid, length and
+    symmetry setting; a new workspace when none is given."""
     if workspace is None:
         return GridWorkspace(kern, grid, length, symmetry)
     if (
         workspace.kern.cfg != kern.cfg
         or not _same_grid(workspace.grid, grid)
         or (length is not None and length != workspace.length)
+        or workspace.symmetry != symmetry
     ):
-        raise GridMismatchError("workspace was built for a different config, grid or length")
+        raise GridMismatchError(
+            "workspace was built for a different config, grid, length or symmetry setting"
+        )
     return workspace
 
 
@@ -583,7 +684,8 @@ def _bogoliubov_defect(U, V) -> float:
 def _plain_from_blocks(grid: ModeGrid, space: _BlockSpace, blocks) -> KernelMatrix:
     s = np.sqrt(grid.weight)
     full = space.spread(blocks)
-    return KernelMatrix(grid, full / np.outer(s, s), False)
+    full /= np.outer(s, s)
+    return KernelMatrix(grid, full, False)
 
 
 def solve_UV_ode(
@@ -636,10 +738,12 @@ def series_UV(
     """Iterated-integral expansion of the kernel pair up to ``order``.
 
     Nested z-ordered integrals are evaluated by cumulative trapezoid
-    rule over ``z_nodes`` equally spaced depths.
+    rule over ``z_nodes`` (at least 2) equally spaced depths.
     """
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
+    if z_nodes < 2:
+        raise ValueError(f"z_nodes must be >= 2, got {z_nodes}")
     workspace = _workspace_for(kern, grid, length, symmetry, workspace)
     space = workspace.space
     u_blocks, v_blocks = _series_blocks(workspace, order, z_nodes)
@@ -759,35 +863,6 @@ def ab_consistency_defect(
 # thin-crystal matrix functions (independent route to the kernel sums)
 
 
-def _axis_factors(kern: FieldKernels, grid: ModeGrid, length: float):
-    """Per-axis factors of half the depth-integrated, weight-absorbed
-    pair-kernel magnitude, whose Kronecker product is the grid matrix.
-
-    The magnitude depends on K only through exp(-w^2 |K1 + K2|^2 / 4),
-    which splits into an x and a y factor (the kernel on one axis at
-    degeneracy over its on-axis peak), and the grid weights are a tensor
-    product.
-    """
-    omega_ref = 0.5 * kern.cfg.pump.omega
-    zero = np.zeros(2)
-    peak = kern.bilinear_magnitude(zero, zero, omega_ref, omega_ref)
-    factors = []
-    for component, axis in enumerate((grid.kx, grid.ky)):
-        K = np.zeros((axis.size, 2))
-        K[:, component] = axis
-        factors.append(
-            kern.bilinear_magnitude(K[:, None], K[None, :], omega_ref, omega_ref) / peak
-        )
-    om = grid.omega_axis
-    factors.append(
-        0.5 * length / TWO_PI_CUBED
-        * kern.bilinear_magnitude(zero, zero, om[:, None], om[None, :])
-    )
-    for factor, weights in zip(factors, grid.axis_weights):
-        factor *= np.sqrt(np.outer(weights, weights))
-    return factors
-
-
 def hyperbolic_matrix_uv(kern: FieldKernels, grid: ModeGrid, length: float | None = None):
     """Matrix cosh/sinh of half the depth-integrated kernel magnitude.
 
@@ -809,9 +884,9 @@ def hyperbolic_uv_subblock(
     """
     if length is None:
         length = kern.cfg.crystal.length
-    (lx, qx), (ly, qy), (lw, qw) = (
-        np.linalg.eigh(f) for f in _axis_factors(kern, grid, length)
-    )
+    # half the depth-integrated magnitude: the omega factor carries L / 2
+    mx, my, mw = _magnitude_factors(kern, grid)
+    (lx, qx), (ly, qy), (lw, qw) = (np.linalg.eigh(f) for f in (mx, my, 0.5 * length * mw))
     evals = np.einsum("i,j,k->ijk", lx, ly, lw).ravel()
     ix, iy, iw = np.unravel_index(indices, grid.shape)
     rows = np.einsum("ai,aj,ak->aijk", qx[ix], qy[iy], qw[iw]).reshape(ix.size, -1)

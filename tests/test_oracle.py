@@ -111,23 +111,121 @@ def test_diamond_grid_mismatch():
         oracle.diamond_contract(m1, m3)
 
 
-def test_grid_operators_match_bilinear_kernel():
+def thick_crystal_config():
+    """A 50 mm crystal: max |L Delta| is far above the Taylor provider's range."""
+    from pdcfield.config import PumpConfig, SeedConfig, CrystalConfig, DetectorConfig, ExperimentConfig
+
+    return ExperimentConfig(
+        pump=PumpConfig(omega=2 * math.pi * 299792458.0 / 0.4e-6, bandwidth=5e11, waist=0.3e-3),
+        seed=SeedConfig(amplitude=1.0, waist=0.3e-3, bandwidth=5e11),
+        crystal=CrystalConfig(length=50e-3, cross_section=1e-22, squeezing=0.3),
+        detector=DetectorConfig(focal_length=0.1, aperture=2e-3, bandwidth=1e9),
+    )
+
+
+def rectangular_grid(cfg):
+    """Unequal, off-centre kx and ky axes of different counts."""
+    w = cfg.pump.waist
+    return oracle.ModeGrid(
+        kx=np.linspace(-5.0 / w, 4.0 / w, 9),
+        ky=np.linspace(-3.0 / w, 6.5 / w, 11),
+        omega_axis=cfg.derive().omega_deg + np.linspace(-3.0, 4.0, 8) * cfg.pump.bandwidth,
+    )
+
+
+def table_cases():
+    """(config, grid) pairs that exercise every shape of the per-axis tables."""
     # nonzero pump phase and emission angle: the constant phase factor and
-    # the mismatch must agree between the grid operators and the kernel
+    # the frequency-only part of the mismatch must survive the tables
     cfg = thin_reference_config(0.3)
     cfg = replace(
         cfg, pump=replace(cfg.pump, phase=0.7), crystal=replace(cfg.crystal, pdc_angle=0.05)
     )
-    kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg, 8, 8)
-    ops = oracle.GridOperators(kern, grid)
+    thick = thick_crystal_config()
+    return [
+        (cfg, thin_reference_grid(cfg, 8, 8)),
+        (cfg, rectangular_grid(cfg)),
+        (cfg, thin_reference_grid(cfg, 9, 1)),
+        (cfg, thin_reference_grid(cfg, 1, 8)),
+        (thick, thin_reference_grid(thick, 8, 8)),
+    ]
+
+
+def dense_pair_kernel(kern, grid, z):
+    """Weight-absorbed pair kernel on every pair of grid modes, straight
+    from ``FieldKernels``."""
     K, om = grid.K, grid.omega
-    sw = np.sqrt(np.outer(grid.weight, grid.weight))
-    length = cfg.crystal.length
-    for z in (0.0, 0.5 * length, length):
-        ref = kern.bilinear_kernel(K[:, None, :], K[None, :, :], om[:, None], om[None, :], z)
-        ref *= sw
-        assert np.max(np.abs(ops.htilde(z) - ref) / np.abs(ref)) < 1e-13
+    ref = kern.bilinear_kernel(K[:, None, :], K[None, :, :], om[:, None], om[None, :], z)
+    return ref * np.sqrt(np.outer(grid.weight, grid.weight))
+
+
+def test_grid_operators_match_bilinear_kernel():
+    for cfg, grid in table_cases():
+        kern = FieldKernels(cfg)
+        ops = oracle.GridOperators(kern, grid)
+        length = cfg.crystal.length
+        for z in (0.0, 0.5 * length, length):
+            ref = dense_pair_kernel(kern, grid, z)
+            assert np.max(np.abs(ops.htilde(z) - ref) / np.abs(ref)) < 1e-13
+
+
+def test_table_max_mismatch_equals_dense():
+    for cfg, grid in table_cases():
+        kern = FieldKernels(cfg)
+        ops = oracle.GridOperators(kern, grid)
+        K, om = grid.K, grid.omega
+        dense = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
+        # exact against the tables broadcast to the grid, and to rounding
+        # against the kernel evaluated on every pair
+        assert ops.max_abs_mismatch() == np.max(np.abs(ops.dense_mismatch()))
+        assert ops.max_abs_mismatch() == pytest.approx(np.max(np.abs(dense)), rel=1e-14)
+
+
+def test_taylor_coefficients_match_dense_projection():
+    # reference: the complex dense kernel, straight from FieldKernels,
+    # expanded in z and projected term by term
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    assert isinstance(ws.provider, oracle._TaylorProvider)
+    K, om = grid.K, grid.omega
+    delta = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
+    term = dense_pair_kernel(kern, grid, 0.0)
+    for k, coeff in enumerate(ws.provider.coeffs):
+        if k:
+            term = term * (1j * delta / k)
+        ref = ws.space.project(term)
+        scale = max(float(np.max(np.abs(r))) for r in ref)
+        for got, want in zip(coeff, ref):
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def test_workspace_keeps_no_grid_sized_array():
+    cfg = thin_reference_config(0.3)
+    grid = thin_reference_grid(cfg, 9, 9)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
+    sizes, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            sizes.append(obj.size)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                walk(item)
+        elif hasattr(obj, "__dict__"):
+            walk(vars(obj))
+
+    walk(ws)
+    # the block-form Taylor coefficients are the largest arrays held
+    assert max(sizes) == max(c.size for coeff in ws.provider.coeffs for c in coeff)
+    assert max(sizes) < grid.size**2
 
 
 def test_providers_fill_caller_buffers():
@@ -289,6 +387,40 @@ def test_workspace_must_match_grid_and_config():
     oracle.series_UV(FieldKernels(cfg), same, order=1, z_nodes=3, workspace=ws)
 
 
+def test_workspace_must_match_symmetry_setting():
+    # a symmetry=True call must not silently run this workspace's one plain
+    # block of 64 modes
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 8, 1)
+    plain = oracle.GridWorkspace(kern, grid, symmetry=False)
+    assert oracle._block_dims(plain.space) == [64]
+    with pytest.raises(oracle.GridMismatchError, match="symmetry"):
+        oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True, workspace=plain)
+    with pytest.raises(oracle.GridMismatchError, match="symmetry"):
+        oracle.series_UV(kern, grid, symmetry=True, workspace=plain)
+    blocked = oracle.GridWorkspace(kern, grid)
+    with pytest.raises(oracle.GridMismatchError, match="symmetry"):
+        oracle.series_UV(kern, grid, symmetry=False, workspace=blocked)
+    assert len(oracle.solve_UV_ode(kern, grid, steps=64, workspace=blocked).info["blocks"]) > 1
+
+
+def test_negative_length_and_too_few_nodes_rejected():
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 8, 1)
+    length = -cfg.crystal.length
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        oracle.GridWorkspace(kern, grid, length)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        oracle.solve_UV_ode(kern, grid, steps=64, length=length)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        oracle.series_UV(kern, grid, length=length)
+    for z_nodes in (1, 0):
+        with pytest.raises(ValueError, match="z_nodes must be >= 2"):
+            oracle.series_UV(kern, grid, z_nodes=z_nodes)
+
+
 def test_step_doubling_estimate_is_honest():
     cfg = thin_reference_config(0.5)
     kern = FieldKernels(cfg)
@@ -386,14 +518,7 @@ def test_symmetry_engine_equals_plain():
 
 def test_symmetry_engine_equals_plain_thick_crystal():
     # a long crystal forces the per-depth kernel rebuild path
-    from pdcfield.config import PumpConfig, SeedConfig, CrystalConfig, DetectorConfig, ExperimentConfig
-
-    cfg = ExperimentConfig(
-        pump=PumpConfig(omega=2 * math.pi * 299792458.0 / 0.4e-6, bandwidth=5e11, waist=0.3e-3),
-        seed=SeedConfig(amplitude=1.0, waist=0.3e-3, bandwidth=5e11),
-        crystal=CrystalConfig(length=50e-3, cross_section=1e-22, squeezing=0.3),
-        detector=DetectorConfig(focal_length=0.1, aperture=2e-3, bandwidth=1e9),
-    )
+    cfg = thick_crystal_config()
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
@@ -465,13 +590,7 @@ def assert_hyperbolic_close(got, ref, rtol=1e-12):
 def test_hyperbolic_matrix_matches_dense_rectangular_grid():
     # unequal, off-centre kx and ky axes: no point-group symmetry at all
     cfg = narrowband_reference_config(0.4)
-    q = cfg.derive()
-    w = cfg.pump.waist
-    grid = oracle.ModeGrid(
-        kx=np.linspace(-5.0 / w, 4.0 / w, 9),
-        ky=np.linspace(-3.0 / w, 6.5 / w, 11),
-        omega_axis=q.omega_deg + np.linspace(-3.0, 4.0, 8) * cfg.pump.bandwidth,
-    )
+    grid = rectangular_grid(cfg)
     kern = FieldKernels(cfg)
     assert_hyperbolic_close(oracle.hyperbolic_matrix_uv(kern, grid), dense_hyperbolic(kern, grid))
 
