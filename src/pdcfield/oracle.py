@@ -19,14 +19,23 @@ x, a y and an omega term, so a grid matrix is formed only by broadcasting
 the tables.  A depth provider writes the kernel blocks at a requested
 depth into buffers its caller owns; the Taylor provider projects the real
 terms magnitude o Delta^k / k! and multiplies their blocks by the scalar
-pair_phase i^k.  The one RK4
-(``_rk4_blocks``) serves ``solve_UV_ode`` and ``ab_consistency_defect``.
-By default ``solve_UV_ode`` picks its step count by step doubling: 8, 16,
-32, ... steps until the Richardson estimate max|W_2n - W_n|/15 meets
-``RK4_TOL``, and reports the estimate.  Its ``constraint_defect`` checks
-the identities of the Bogoliubov transformation, U+U - V^T conj(V) = 1 and
-U V^T = V U^T, which the depth equations conserve; it therefore measures
-integration error and shrinks with the step size.
+pair_phase i^k.
+
+Where that provider serves (max |L Delta| <= 1.5, every default workload),
+H(z) is a polynomial with real block terms and the depth equations are
+linear, so ``solve_UV_ode`` solves them by their exact z-Taylor recurrence
+(``_taylor_blocks``; Corliss & Chang, ACM TOMS 8, 114 (1982)).  The term
+count is fixed before any matrix product by Cauchy's scalar majorant,
+whose tail, reported as ``error_bound``, is a proven bound on the
+truncation, at most ``DEPTH_TOL``; ``ab_consistency_defect`` evaluates the
+same coefficients by Horner's rule at its stations.  The direct provider
+rebuilds the pair kernel at every depth; there the one RK4
+(``_rk4_blocks``) doubles its step count from 8 until the Richardson
+estimate max|W_2n - W_n|/15 meets ``DEPTH_TOL``, and an explicit
+``steps=`` runs that RK4 at a fixed count in either regime.  The
+``constraint_defect`` of a solve checks the identities of the Bogoliubov
+transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which the depth
+equations conserve; it therefore measures the solve's error.
 
 On a centered square K grid the depth integration and the series run
 block by block over the grid's point group.  The blocks come from the grid
@@ -529,14 +538,14 @@ def _workspace_for(kern: FieldKernels, grid: ModeGrid, length: float | None,
 
 
 class StepCountError(RuntimeError):
-    """Raised when the depth integration cannot meet its tolerance within
-    the step cap."""
+    """Raised when the depth integration cannot meet its tolerance: the RK4
+    within its step cap, or the Taylor recurrence in double precision."""
 
 
-# Step-doubling control of the depth integration.  1e-9 leaves three decades
-# below the tightest gate that consumes a solve (1e-6); no solve in the
-# package comes near the cap.
-RK4_TOL = 1e-9
+# The one tolerance of the default depth solve: the recurrence's proven tail
+# and the RK4's step-doubling estimate.  1e-9 leaves three decades below the
+# tightest gate that consumes a solve (1e-6).
+DEPTH_TOL = 1e-9
 RK4_START_STEPS = 8
 RK4_MAX_STEPS = 1024
 
@@ -553,15 +562,114 @@ def _block_dims(space: _BlockSpace):
     return [basis_list[0].shape[1] * space.nw for basis_list in space.copies]
 
 
-def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int, on_step=None):
+def _taylor_term_count(norms):
+    """Term count of the depth-scaled Taylor series and its proven tail.
+
+    ``norms[k]`` bounds ||L^(k+1) R_k||_2 on every block.  Cauchy's scalar
+    majorant eta_0 = 1, eta_(n+1) = sum_k a_k eta_(n-k) / (2 (n+1)) bounds
+    the 2-norm of every coefficient of U and W; it is the Taylor series of
+    exp(g(x)), g(x) = sum_k a_k x^(k+1) / (2 (k+1)), so the tail after N
+    terms is exp(g(1)) less the first N eta_n.  N is the first count whose
+    tail is at most ``DEPTH_TOL`` times expm1(g(1)), the majorant of what
+    the kernel adds to the initial U = 1 and V = 0, and never above
+    ``DEPTH_TOL``: a weak kernel is resolved to the same relative accuracy
+    as a strong one.  The sums leave out eta_0, which keeps their relative
+    precision, and the tail adds terms * eps * expm1(g(1)) for their
+    rounding.  Raises StepCountError when the terms stop changing the sum
+    before the tail meets its target.
+    """
+    grown = math.expm1(0.5 * sum(a / (k + 1) for k, a in enumerate(norms)))
+    target = DEPTH_TOL * min(1.0, grown)
+    eps = float(np.finfo(float).eps)
+    eta = [1.0]
+    partial = 0.0
+    while not (tail := grown - partial + len(eta) * eps * grown) <= target:
+        n = len(eta) - 1
+        step = sum(a * eta[n - k] for k, a in enumerate(norms[:n + 1])) / (2.0 * (n + 1))
+        if not (math.isfinite(grown) and step > eps * partial):
+            raise StepCountError(
+                f"Taylor majorant tail {tail:.2e} after {n + 1} terms cannot be "
+                f"proven below {target:.2e} (tolerance {DEPTH_TOL:g})"
+            )
+        eta.append(step)
+        partial += step
+    return len(eta), tail
+
+
+def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
+    """U and V blocks at each depth zeta * L by the exact Taylor recurrence.
+
+    With H(z) = p sum_k (iz)^k R_k (``_TaylorProvider``; |p| = 1, real R_k)
+    and W = pV, the equations U' = (1/2) V H, V' = (1/2) U conj(H) become
+    U' = (1/2) W sum_k (iz)^k R_k and W' = (1/2) U sum_k (-iz)^k R_k.  In
+    x = z / L with depth-scaled terms S_k = L^(k+1) R_k, the coefficients
+    U = sum_n a_n (-ix)^n and W = sum_n b_n (ix)^n obey (Corliss & Chang,
+    ACM TOMS 8, 114 (1982))
+
+        a_(n+1) =  i c_n sum_k b_(n-k) S_k,   b_(n+1) = -i c_n sum_k a_(n-k) S_k,
+
+    with c_n = (-1)^n / (2 (n+1)), a_0 = 1 and b_0 = 0.  Each new
+    coefficient is kept transposed, so that it is one real product of
+    [S_0^T ... S_m^T] with the last m+1 coefficients viewed as float pairs;
+    they are stored newest first, which makes that history one contiguous
+    slice and puts them in Horner order.  The term count comes from
+    ``_taylor_term_count`` before any product.  Returns, per zeta, the U
+    and V blocks, and an info dict with ``terms``, ``error_bound`` (the
+    proven truncation tail of every block of U and V in the 2-norm) and
+    ``tolerance``.
+    """
+    coeffs, space, length = workspace.provider.coeffs, workspace.space, workspace.length
+    m = len(coeffs) - 1
+    # R_0 is the magnitude, whose grid matrix is the Kronecker product of the
+    # per-axis factors: its 2-norm, the largest of its blocks', is theirs
+    # multiplied.  For k >= 1, |p i^k| = 1 gives the norms of the real terms
+    # from the complex blocks, bounded by sqrt(||.||_1 ||.||_inf).
+    norms = [length * math.prod(float(np.linalg.norm(f, 2)) for f in workspace.ops.magnitude)]
+    norms += [
+        length ** (k + 1) * max(
+            math.sqrt(np.linalg.norm(c, 1) * np.linalg.norm(c, np.inf)) for c in coeffs[k]
+        )
+        for k in range(1, m + 1)
+    ]
+    terms, bound = _taylor_term_count(norms)
+    phases = [workspace.kern.pair_phase * 1j**k for k in range(m + 1)]
+    values = [([], []) for _ in zetas]
+    for s, d in enumerate(_block_dims(space)):
+        stack = np.empty((d, (m + 1) * d))
+        for k in range(m + 1):
+            stack[:, k * d:(k + 1) * d] = (
+                length ** (k + 1) * (coeffs[k][s].T * np.conj(phases[k])).real
+            )
+        a = np.zeros((terms, d, d), dtype=complex)
+        b = np.zeros((terms, d, d), dtype=complex)
+        np.fill_diagonal(a[-1], 1.0)
+        for n in range(terms - 1):
+            top = min(n, m) + 1
+            lo = terms - 1 - n  # slot of coefficient n; n - k sits at lo + k
+            scale = 0.5j * (-1) ** n / (n + 1)
+            for new, old, factor in ((a, b, scale), (b, a, -scale)):
+                hist = old[lo:lo + top].reshape(top * d, d).view(float)
+                prod = (stack[:, :top * d] @ hist).view(complex)
+                np.multiply(prod, factor, out=new[lo - 1])
+        for (us, vs), zeta in zip(values, zetas):
+            for hist, x, out in ((a, -1j * zeta, us), (b, 1j * zeta, vs)):
+                acc = hist[0].copy()
+                for coef in hist[1:]:
+                    acc *= x
+                    acc += coef
+                out.append(np.ascontiguousarray(acc.T))
+            vs[-1] *= np.conj(workspace.kern.pair_phase)
+    info = {"steps": 1, "terms": terms, "error_bound": bound, "tolerance": DEPTH_TOL}
+    return values, info
+
+
+def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
     """Classical fourth-order steps of dU = (1/2) V H dz, dV = (1/2) U H* dz.
 
     Works blockwise with preallocated buffers; the 1/2 of the equations is
     folded into the stage constants so provider blocks are used as-is.  The
     kernel blocks at the start, middle and end of a step live in three
     buffers owned here; the end buffer becomes the next step's start.
-    ``on_step(n, U, V)``, if given, sees the blocks after step n (1-based);
-    it must copy what it keeps.
     """
     dims = _block_dims(space)
     U = [np.eye(d, dtype=complex) for d in dims]
@@ -623,14 +731,12 @@ def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int, on_step
                 target += acc
         a_lo, a_hi = a_hi, a_lo
         a_lo_c = a_hi_c
-        if on_step is not None:
-            on_step(n + 1, U, V)
     return U, V
 
 
 def _rk4_blocks_to_tol(provider, space: _BlockSpace, length: float):
     """``_rk4_blocks`` at 8, 16, 32, ... steps until the step-doubling
-    estimate meets ``RK4_TOL``.
+    estimate meets ``DEPTH_TOL``.
 
     After each doubling the error of the 2n-step blocks is estimated as
     max |W_2n - W_n| / 15 over the weight-absorbed U and V blocks
@@ -652,14 +758,14 @@ def _rk4_blocks_to_tol(provider, space: _BlockSpace, length: float):
             for fine, coarse in zip(U2 + V2, U + V)
         ) / 15.0
         U, V = U2, V2
-        if estimate <= RK4_TOL:
+        if estimate <= DEPTH_TOL:
             return U, V, {"steps": steps, "error_estimate": estimate,
-                          "tolerance": RK4_TOL, "steps_taken": taken}
+                          "tolerance": DEPTH_TOL, "steps_taken": taken}
         if not math.isfinite(estimate):
             break
     raise StepCountError(
         f"RK4 step-doubling estimate {estimate:.2e} at {steps} steps exceeds "
-        f"tolerance {RK4_TOL:g} (cap {RK4_MAX_STEPS} steps)"
+        f"tolerance {DEPTH_TOL:g} (cap {RK4_MAX_STEPS} steps)"
     )
 
 
@@ -698,25 +804,31 @@ def solve_UV_ode(
 ) -> BogoliubovSolution:
     """Integrate the forward/conjugate kernel pair through the crystal.
 
-    Classical fourth-order integration of the coupled pair, from the
-    identity/zero initial kernels, with the fully z-dependent pair kernel.
-    With ``steps=None`` the step count doubles from 8 until the
-    step-doubling error estimate meets ``RK4_TOL`` (``_rk4_blocks_to_tol``);
-    ``info`` then also holds ``error_estimate``, ``tolerance`` and
-    ``steps_taken``.  An explicit ``steps`` (at least 64) runs that fixed
-    count.  ``constraint_defect`` is the Bogoliubov identity defect of the
-    result.  ``symmetry=True`` block-diagonalizes over the square grid
-    point group when the grid allows it (same result to rounding).
+    From the identity/zero initial kernels, with the fully z-dependent pair
+    kernel.  With ``steps=None`` the Taylor regime is solved by the exact
+    z-Taylor recurrence (``_taylor_blocks``); ``info``
+    then holds ``steps`` 1 (one Taylor step over [0, L]), ``terms``,
+    ``error_bound`` and ``tolerance``.  The direct regime (max |L Delta| >
+    1.5) doubles the classical fourth-order step count from 8 until the
+    step-doubling estimate meets ``DEPTH_TOL``; ``info`` then holds
+    ``steps``, ``error_estimate``, ``tolerance`` and ``steps_taken``.  An
+    explicit ``steps`` (at least 64) runs that fixed RK4 count in either
+    regime.  ``info["blocks"]`` lists the block sizes.
+    ``constraint_defect`` is the Bogoliubov identity defect of the result.
+    ``symmetry=True`` block-diagonalizes over the square grid point group
+    when the grid allows it (same result to rounding).
     """
     if steps is not None and steps < 64:
         raise ValueError("steps must be >= 64")
     workspace = _workspace_for(kern, grid, length, symmetry, workspace)
     space = workspace.space
-    if steps is None:
-        U, V, info = _rk4_blocks_to_tol(workspace.provider, space, workspace.length)
-    else:
+    if steps is not None:
         U, V = _rk4_blocks(workspace.provider, space, workspace.length, steps)
         info = {"steps": steps}
+    elif isinstance(workspace.provider, _TaylorProvider):
+        [(U, V)], info = _taylor_blocks(workspace)
+    else:
+        U, V, info = _rk4_blocks_to_tol(workspace.provider, space, workspace.length)
     info["blocks"] = _block_dims(space)
     return BogoliubovSolution(
         forward=_plain_from_blocks(grid, space, U),
@@ -817,36 +929,38 @@ def ab_consistency_defect(
 ) -> float:
     """Residual of the squeezed-kernel depth equations along the trajectory.
 
-    The kernel pair is integrated by the same RK4 as ``solve_UV_ode`` on
-    one block spanning the grid, keeping copies one step either side of
-    evenly spaced stations.  The derivative of the composed kernels is
-    estimated there by central differences and compared against the
-    right-hand side built from the pair kernel; returns the worst relative
-    residual.
+    The kernel pair's Taylor coefficients (``_taylor_blocks``, one block
+    spanning the grid) are evaluated by Horner's rule at ``stations``
+    evenly spaced depths z = m h and at z = m h +- h, with h = L / steps.
+    The derivative of the composed kernels is estimated there by central
+    differences and compared against the right-hand side built from the
+    pair kernel; returns the worst relative residual.  Raises ValueError
+    outside the Taylor regime, for ``stations < 1`` and when a station
+    lacks a neighbour inside [0, L].
     """
     workspace = GridWorkspace(kern, grid, length, symmetry=False)
+    if not isinstance(workspace.provider, _TaylorProvider):
+        raise ValueError("ab_consistency_defect needs the Taylor regime (max |L Delta| <= 1.5)")
+    if stations < 1:
+        raise ValueError(f"stations must be >= 1, got {stations}")
+    station_steps = sorted(
+        {int(round(i * steps / (stations + 1))) for i in range(1, stations + 1)}
+    )
+    if station_steps[0] < 1 or station_steps[-1] > steps - 1:
+        raise ValueError(
+            f"{stations} stations at {steps} steps: a station lacks a neighbour inside [0, L]"
+        )
     h = workspace.length / steps
-    station_steps = {
-        int(round(i * steps / (stations + 1))) for i in range(1, stations + 1)
-    }
-    wanted = {m + d for m in station_steps for d in (-1, 0, 1)}
-    snapshots = {}
-
-    def keep(n, U, V):
-        if n in wanted:
-            snapshots[n] = (U[0].copy(), V[0].copy())
-
-    _rk4_blocks(workspace.provider, workspace.space, workspace.length, steps, keep)
+    zetas = [(m + d) / steps for m in station_steps for d in (-1, 0, 1)]
+    values, _ = _taylor_blocks(workspace, zetas)
 
     worst = 0.0
-    for m in station_steps:
-        if m - 1 not in snapshots or m + 1 not in snapshots:
-            continue
-        a_prev, b_prev = _compose_ab(*snapshots[m - 1])
-        a_next, b_next = _compose_ab(*snapshots[m + 1])
+    for i, m in enumerate(station_steps):
+        (a_prev, b_prev), (a_here, b_here), (a_next, b_next) = (
+            _compose_ab(u[0], v[0]) for u, v in values[3 * i:3 * i + 3]
+        )
         da = (a_next - a_prev) / (2.0 * h)
         db = (b_next - b_prev) / (2.0 * h)
-        a_here, b_here = _compose_ab(*snapshots[m])
         ht = workspace.ops.htilde(m * h)
         rhs_a = 0.5 * (ht.conj().T @ np.conj(b_here)) + 0.5 * (b_here @ ht)
         rhs_b = 0.5 * (ht.conj().T @ a_here.T) + 0.5 * (a_here @ np.conj(ht))

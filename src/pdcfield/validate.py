@@ -254,24 +254,22 @@ def check_diamond_algebra(cfg: ExperimentConfig) -> CheckResult:
 def check_bogoliubov_constraint(
     squeezing: float = 0.2, k_count: int = 17, omega_count: int = 9
 ):
-    """Bogoliubov identity defect of the depth integration, whose step count
-    comes from the step-doubling tolerance loop.  Returns the check plus the
-    solution blocks and workspace for reuse."""
+    """Bogoliubov identity defect of the Taylor recurrence, whose term count
+    comes from its proven tail.  Returns the check plus the solution blocks
+    and workspace for reuse."""
     t0 = time.perf_counter()
     cfg = thin_reference_config(squeezing)
     grid = thin_reference_grid(cfg, k_count, omega_count)
     workspace = oracle.GridWorkspace(FieldKernels(cfg), grid)
-    u_blocks, v_blocks, info = oracle._rk4_blocks_to_tol(
-        workspace.provider, workspace.space, workspace.length
-    )
+    [(u_blocks, v_blocks)], info = oracle._taylor_blocks(workspace)
     res = _result(
         f"Bogoliubov constraint (gain {squeezing}, grid "
         f"{k_count}x{k_count}x{omega_count})",
         oracle._bogoliubov_defect(u_blocks, v_blocks),
         1e-6,
         t0,
-        note=f"RK4 {info['steps']} steps ({info['steps_taken']} taken), error estimate "
-             f"{info['error_estimate']:.1e} (tol {info['tolerance']:g})",
+        note=f"Taylor {info['terms']} terms, tail bound {info['error_bound']:.1e} "
+             f"(tol {info['tolerance']:g})",
     )
     return res, (u_blocks, v_blocks), workspace
 

@@ -332,13 +332,38 @@ def test_solver_rejects_few_steps():
 
 
 def test_solver_tolerance_contract(monkeypatch):
+    # the Taylor regime: the recurrence, one step over [0, L]
     cfg = thin_reference_config(0.2)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
+    assert isinstance(ws.provider, oracle._TaylorProvider)
     sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
     info = sol.info
-    assert info["tolerance"] == oracle.RK4_TOL
+    assert set(info) == {"steps", "terms", "error_bound", "tolerance", "blocks"}
+    assert info["steps"] == 1
+    assert info["tolerance"] == oracle.DEPTH_TOL
+    assert 0.0 <= info["error_bound"] <= info["tolerance"]
+    assert info["terms"] > 2
+    assert info["blocks"] == oracle._block_dims(ws.space)
+    assert sol.constraint_defect < 1e-10
+    # a tolerance below what double precision can prove raises instead of
+    # returning
+    monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-18)
+    with pytest.raises(oracle.StepCountError, match="cannot be proven"):
+        oracle.solve_UV_ode(kern, grid, workspace=ws)
+
+
+def test_step_doubling_tolerance_contract(monkeypatch):
+    # the direct regime keeps step doubling of the RK4
+    cfg = thick_crystal_config()
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 8, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    assert isinstance(ws.provider, oracle._DirectProvider)
+    sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
+    info = sol.info
+    assert info["tolerance"] == oracle.DEPTH_TOL
     assert info["error_estimate"] <= info["tolerance"]
     assert info["steps"] >= 2 * oracle.RK4_START_STEPS
     # every doubling from the start count up to the returned count was run
@@ -346,7 +371,7 @@ def test_solver_tolerance_contract(monkeypatch):
     assert info["blocks"] == oracle._block_dims(ws.space)
     assert sol.constraint_defect < 1e-10
     # a tolerance the step cap cannot meet raises instead of returning
-    monkeypatch.setattr(oracle, "RK4_TOL", 1e-18)
+    monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-18)
     monkeypatch.setattr(oracle, "RK4_MAX_STEPS", 32)
     with pytest.raises(oracle.StepCountError, match="32 steps"):
         oracle.solve_UV_ode(kern, grid, workspace=ws)
@@ -430,7 +455,49 @@ def test_step_doubling_estimate_is_honest():
     true_error = max(
         float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_ref + V_ref)
     )
-    assert true_error <= 2.0 * info["error_estimate"] <= 2.0 * oracle.RK4_TOL
+    assert true_error <= 2.0 * info["error_estimate"] <= 2.0 * oracle.DEPTH_TOL
+
+
+def _max_diff(first, second):
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("count", [8, 9])
+@pytest.mark.parametrize("gain", [0.2, 0.5, 1.0])
+def test_taylor_tail_bound_is_honest(monkeypatch, count, gain):
+    cfg = thin_reference_config(gain)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, count, count))
+    [(U, V)], info = oracle._taylor_blocks(ws)
+    monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-13)
+    [(U_ref, V_ref)], ref_info = oracle._taylor_blocks(ws)
+    assert ref_info["terms"] > info["terms"]
+    assert _max_diff(U + V, U_ref + V_ref) <= info["error_bound"] <= 1e-9
+
+
+def test_taylor_recurrence_matches_fine_rk4():
+    # gain 1.0, where the 1024-step RK4's own error stands above rounding
+    cfg = thin_reference_config(1.0)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8))
+    [(U, V)], info = oracle._taylor_blocks(ws)
+    U_fine, V_fine = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 1024)
+    U_half, V_half = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 512)
+    estimate = _max_diff(U_fine + V_fine, U_half + V_half) / 15.0
+    assert estimate > 1e-14
+    assert _max_diff(U + V, U_fine + V_fine) <= info["error_bound"] + 2.0 * estimate
+
+
+@settings(max_examples=8, deadline=None)
+@given(gain=st.floats(0.05, 1.0), fraction=st.floats(0.1, 1.0))
+def test_taylor_recurrence_matches_rk4_property(gain, fraction):
+    cfg = thin_reference_config(gain)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8),
+                              fraction * cfg.crystal.length)
+    assert isinstance(ws.provider, oracle._TaylorProvider)
+    [(U, V)], info = oracle._taylor_blocks(ws)
+    U_64, V_64 = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
+    U_32, V_32 = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 32)
+    estimate = _max_diff(U_64 + V_64, U_32 + V_32) / 15.0
+    assert _max_diff(U + V, U_64 + V_64) <= info["error_bound"] + 2.0 * estimate
 
 
 def test_fixed_steps_bit_identical_to_rk4():
@@ -498,6 +565,37 @@ def test_identity_defect_flags_broken_integrator():
     assert max(float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_pkg + V_pkg)) < 1e-12
     assert oracle._bogoliubov_defect(U, V) < 1e-10
     assert oracle._bogoliubov_defect(*_rk4_textbook(ws, 64, drop_last_stage=True)) > 1e-6
+
+
+def _taylor_textbook(ws, terms, drop_u_newest=False):
+    """Textbook Taylor recurrence of dU = V H / 2, dV = U conj(H) / 2 with
+    H(z) = sum_k c_k z^k, the provider's complex blocks: (n+1) u_(n+1) =
+    sum_k v_(n-k) c_k / 2 and (n+1) v_(n+1) = sum_k u_(n-k) conj(c_k) / 2,
+    summed at z = L.  ``drop_u_newest`` leaves out the k = 0 term of the U
+    equation."""
+    coeffs = ws.provider.coeffs
+    U, V = [], []
+    for s, d in enumerate(oracle._block_dims(ws.space)):
+        zero = np.zeros((d, d), dtype=complex)
+        u, v = [np.eye(d, dtype=complex)], [zero]
+        for n in range(terms - 1):
+            ks = range(min(n, len(coeffs) - 1) + 1)
+            u.append(sum((v[n - k] @ coeffs[k][s] for k in ks if k or not drop_u_newest), zero)
+                     / (2.0 * (n + 1)))
+            v.append(sum((u[n - k] @ np.conj(coeffs[k][s]) for k in ks), zero) / (2.0 * (n + 1)))
+        U.append(sum(c * ws.length**n for n, c in enumerate(u)))
+        V.append(sum(c * ws.length**n for n, c in enumerate(v)))
+    return U, V
+
+
+def test_identity_defect_flags_dropped_convolution_term():
+    cfg = thin_reference_config(0.3)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 9, 8))
+    [(U_pkg, V_pkg)], info = oracle._taylor_blocks(ws)
+    U, V = _taylor_textbook(ws, info["terms"])
+    assert _max_diff(U + V, U_pkg + V_pkg) < 1e-12
+    assert oracle._bogoliubov_defect(U, V) < 1e-10
+    assert oracle._bogoliubov_defect(*_taylor_textbook(ws, info["terms"], True)) > 1e-6
 
 
 def test_symmetry_engine_equals_plain():
@@ -764,6 +862,21 @@ def test_ab_depth_equation_defect():
     kern = FieldKernels(cfg)
     defect = oracle.ab_consistency_defect(kern, thin_reference_grid(cfg, 9, 1), steps=256)
     assert defect < 1e-4
+
+
+def test_ab_depth_equation_defect_rejects_empty_check():
+    # steps=2 and stations=0 leave no station with a neighbour on either
+    # side, so there is nothing to check: raise rather than report 0.0
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 1)
+    with pytest.raises(ValueError, match="lacks a neighbour"):
+        oracle.ab_consistency_defect(kern, grid, steps=2)
+    with pytest.raises(ValueError, match="stations must be >= 1"):
+        oracle.ab_consistency_defect(kern, grid, stations=0)
+    thick = thick_crystal_config()
+    with pytest.raises(ValueError, match="Taylor regime"):
+        oracle.ab_consistency_defect(FieldKernels(thick), thin_reference_grid(thick, 8, 8))
 
 
 def test_uv_product_symmetry_reported():

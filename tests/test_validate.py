@@ -14,17 +14,22 @@ from test_cli import CONFIG
 
 
 def test_validate_cli_all_pass(tmp_path, capsys, monkeypatch):
-    # each reference kernel pair goes through one step-doubling loop per run
-    # (gain 0.2, then gain 0.3 on 9x9x9, each meeting the tolerance at 16
-    # steps), then the fixed 256-step depth-equation trajectory
-    integrations = []
-    rk4 = oracle._rk4_blocks
+    # each reference kernel pair is solved once by the Taylor recurrence
+    # (gain 0.2, then gain 0.3 on 9x9x9, each evaluated at the crystal's
+    # end), then once more for the depth-equation check, evaluated at its 8
+    # stations and one step either side; no RK4 runs
+    depths = []
+    taylor = oracle._taylor_blocks
 
-    def counted(*args, **kwargs):
-        integrations.append(args[2:4])
-        return rk4(*args, **kwargs)
+    def counted(workspace, zetas=(1.0,)):
+        depths.append(len(zetas))
+        return taylor(workspace, zetas)
 
-    monkeypatch.setattr(oracle, "_rk4_blocks", counted)
+    def no_rk4(*args, **kwargs):
+        raise AssertionError("validate ran an RK4 integration")
+
+    monkeypatch.setattr(oracle, "_taylor_blocks", counted)
+    monkeypatch.setattr(oracle, "_rk4_blocks", no_rk4)
     path = tmp_path / "experiment.cfg"
     path.write_text(CONFIG)
     with warnings.catch_warnings(record=True) as caught:
@@ -38,7 +43,7 @@ def test_validate_cli_all_pass(tmp_path, capsys, monkeypatch):
     assert len(names) == len(set(names)) == 16
     flags = [float(ln.rsplit(",", 2)[-2]) for ln in lines[1:]]
     assert all(f == 1.0 for f in flags), out
-    assert [steps for _, steps in integrations] == [8, 16, 8, 16, 256], integrations
+    assert depths == [1, 1, 24], depths
     assert not caught, [str(w.message) for w in caught]
     assert code == 0
 
@@ -50,14 +55,12 @@ def rows():
 
 def test_bogoliubov_row_reports_step_count_and_estimate(rows):
     row = rows["Bogoliubov constraint (gain 0.2, grid 9x9x9)"]
-    match = re.fullmatch(
-        r"RK4 (\d+) steps \((\d+) taken\), error estimate (\S+) \(tol (\S+)\)", row.note
-    )
+    match = re.fullmatch(r"Taylor (\d+) terms, tail bound (\S+) \(tol (\S+)\)", row.note)
     assert match, row.note
-    steps, taken = map(int, match.groups()[:2])
-    estimate, tol = map(float, match.groups()[2:])
-    assert (steps, taken) == (16, 24)
-    assert tol == oracle.RK4_TOL and estimate <= tol
+    terms = int(match.group(1))
+    bound, tol = map(float, match.groups()[1:])
+    assert terms == 9
+    assert tol == oracle.DEPTH_TOL and bound <= tol
     assert row.value < 1e-10
 
 
