@@ -32,6 +32,7 @@ from .background import (
     hh_contraction,
 )
 from .oracle import (
+    BlockKernel,
     BogoliubovSolution,
     KernelMatrix,
     ModeGrid,

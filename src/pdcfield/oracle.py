@@ -45,10 +45,13 @@ splits the products of an x and a y factor into the five symmetry types
 (``square_grid_blocks``).  Each block keeps a small dense real basis over
 the K modes; the omega identity stays implicit.  The blocks change nothing
 numerically (verified against the plain path in the tests); they only
-make the default-size runs fast on one core.  The thin-crystal matrix
-cosh/sinh needs no blocks: its matrix is the Kronecker product of the
-same per-axis magnitude factors, so any grid is diagonalized axis by axis
-(Van Loan, J. Comput. Appl. Math. 123, 85 (2000)).
+make the default-size runs fast on one core.  The results stay in that
+form: ``solve_UV_ode``, ``series_UV`` and ``build_AB`` return
+``BlockKernel`` values, weight-absorbed blocks from which a grid matrix is
+formed only on request (``to_weighted``, ``to_plain``).  The thin-crystal
+matrix cosh/sinh needs no blocks: its matrix is the Kronecker product of
+the same per-axis magnitude factors, so any grid is diagonalized axis by
+axis (Van Loan, J. Comput. Appl. Math. 123, 85 (2000)).
 """
 
 from __future__ import annotations
@@ -376,6 +379,26 @@ class _BlockSpace:
         return (basis @ right.reshape(nk, -1)).view(complex).reshape(nk * nw, nk * nw)
 
 
+@dataclass
+class BlockKernel:
+    """A weight-absorbed kernel held as its blocks over a ``_BlockSpace``.
+
+    The bases are real and orthonormal, so the mode contraction, conjugation
+    and transposition act block by block; a grid matrix is formed only when
+    ``to_weighted`` or ``to_plain`` is called.
+    """
+
+    grid: ModeGrid
+    space: _BlockSpace
+    blocks: list
+
+    def to_weighted(self) -> KernelMatrix:
+        return KernelMatrix(self.grid, self.space.spread(self.blocks), True)
+
+    def to_plain(self) -> KernelMatrix:
+        return self.to_weighted().to_plain()
+
+
 def _trivial_space(n: int) -> _BlockSpace:
     # one block: a single K "mode" whose omega identity spans the grid
     return _BlockSpace([[np.ones((1, 1))]], n)
@@ -552,8 +575,8 @@ RK4_MAX_STEPS = 1024
 
 @dataclass
 class BogoliubovSolution:
-    forward: KernelMatrix          # U, plain kernel convention
-    conjugate: KernelMatrix        # V, plain kernel convention
+    forward: BlockKernel           # U, weight-absorbed point-group blocks
+    conjugate: BlockKernel         # V, weight-absorbed point-group blocks
     constraint_defect: float       # identity defect of the blocks, see _bogoliubov_defect
     info: dict
 
@@ -787,13 +810,6 @@ def _bogoliubov_defect(U, V) -> float:
     return worst
 
 
-def _plain_from_blocks(grid: ModeGrid, space: _BlockSpace, blocks) -> KernelMatrix:
-    s = np.sqrt(grid.weight)
-    full = space.spread(blocks)
-    full /= np.outer(s, s)
-    return KernelMatrix(grid, full, False)
-
-
 def solve_UV_ode(
     kern: FieldKernels,
     grid: ModeGrid,
@@ -813,7 +829,8 @@ def solve_UV_ode(
     step-doubling estimate meets ``DEPTH_TOL``; ``info`` then holds
     ``steps``, ``error_estimate``, ``tolerance`` and ``steps_taken``.  An
     explicit ``steps`` (at least 64) runs that fixed RK4 count in either
-    regime.  ``info["blocks"]`` lists the block sizes.
+    regime.  ``info["blocks"]`` lists the block sizes; ``forward`` and
+    ``conjugate`` hold the U and V blocks of the workspace's block space.
     ``constraint_defect`` is the Bogoliubov identity defect of the result.
     ``symmetry=True`` block-diagonalizes over the square grid point group
     when the grid allows it (same result to rounding).
@@ -831,8 +848,8 @@ def solve_UV_ode(
         U, V, info = _rk4_blocks_to_tol(workspace.provider, space, workspace.length)
     info["blocks"] = _block_dims(space)
     return BogoliubovSolution(
-        forward=_plain_from_blocks(grid, space, U),
-        conjugate=_plain_from_blocks(grid, space, V),
+        forward=BlockKernel(grid, space, U),
+        conjugate=BlockKernel(grid, space, V),
         constraint_defect=_bogoliubov_defect(U, V),
         info=info,
     )
@@ -846,22 +863,22 @@ def series_UV(
     z_nodes: int = 33,
     symmetry: bool = True,
     workspace: GridWorkspace | None = None,
-) -> tuple[KernelMatrix, KernelMatrix]:
+) -> tuple[BlockKernel, BlockKernel]:
     """Iterated-integral expansion of the kernel pair up to ``order``.
 
     Nested z-ordered integrals are evaluated by cumulative trapezoid
-    rule over ``z_nodes`` (at least 2) equally spaced depths.
+    rule over ``z_nodes`` (at least 2) equally spaced depths.  Returns the
+    U and V blocks of the workspace's block space.
     """
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
     if z_nodes < 2:
         raise ValueError(f"z_nodes must be >= 2, got {z_nodes}")
     workspace = _workspace_for(kern, grid, length, symmetry, workspace)
-    space = workspace.space
     u_blocks, v_blocks = _series_blocks(workspace, order, z_nodes)
     return (
-        _plain_from_blocks(grid, space, u_blocks),
-        _plain_from_blocks(grid, space, v_blocks),
+        BlockKernel(grid, workspace.space, u_blocks),
+        BlockKernel(grid, workspace.space, v_blocks),
     )
 
 
@@ -910,14 +927,15 @@ def _compose_ab(u: np.ndarray, v: np.ndarray):
     return a, b
 
 
-def build_AB(U: KernelMatrix, V: KernelMatrix) -> tuple[KernelMatrix, KernelMatrix]:
-    """Squeezed-state kernels from the Bogoliubov pair."""
-    a, b = _compose_ab(U.to_weighted().matrix, V.to_weighted().matrix)
-    grid = U.grid
-    return (
-        KernelMatrix(grid, a, True).to_plain(),
-        KernelMatrix(grid, b, True).to_plain(),
-    )
+def build_AB(U: BlockKernel, V: BlockKernel) -> tuple[BlockKernel, BlockKernel]:
+    """Squeezed-state kernels from the Bogoliubov pair, composed block by
+    block.  Raises GridMismatchError when the pair lives on different grids
+    or blocks."""
+    shapes = [[blk.shape for blk in kernel.blocks] for kernel in (U, V)]
+    if not _same_grid(U.grid, V.grid) or shapes[0] != shapes[1]:
+        raise GridMismatchError("kernel pair lives on different grids or blocks")
+    a, b = zip(*(_compose_ab(u, v) for u, v in zip(U.blocks, V.blocks)))
+    return BlockKernel(U.grid, U.space, list(a)), BlockKernel(U.grid, U.space, list(b))
 
 
 def ab_consistency_defect(

@@ -319,7 +319,7 @@ def test_solver_zero_gain():
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     uw = sol.forward.to_weighted().matrix
     assert np.allclose(uw, np.eye(grid.size))
-    assert np.all(sol.conjugate.matrix == 0.0)
+    assert all(np.all(v == 0.0) for v in sol.conjugate.blocks)
     assert sol.constraint_defect == 0.0
 
 
@@ -486,7 +486,7 @@ def test_taylor_recurrence_matches_fine_rk4():
     assert _max_diff(U + V, U_fine + V_fine) <= info["error_bound"] + 2.0 * estimate
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(gain=st.floats(0.05, 1.0), fraction=st.floats(0.1, 1.0))
 def test_taylor_recurrence_matches_rk4_property(gain, fraction):
     cfg = thin_reference_config(gain)
@@ -508,8 +508,9 @@ def test_fixed_steps_bit_identical_to_rk4():
     sol = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
     U, V = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
     assert sol.info == {"steps": 64, "blocks": oracle._block_dims(ws.space)}
-    assert np.array_equal(sol.forward.matrix, oracle._plain_from_blocks(grid, ws.space, U).matrix)
-    assert np.array_equal(sol.conjugate.matrix, oracle._plain_from_blocks(grid, ws.space, V).matrix)
+    assert sol.forward.space is sol.conjugate.space is ws.space
+    for got, want in ((sol.forward.blocks, U), (sol.conjugate.blocks, V)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_identity_defect_at_gain_one():
@@ -605,10 +606,12 @@ def test_symmetry_engine_equals_plain():
     sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
     plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
     assert len(sym.info["blocks"]) > 1
-    scale_u = np.max(np.abs(plain.forward.matrix))
-    scale_v = np.max(np.abs(plain.conjugate.matrix))
-    assert np.max(np.abs(sym.forward.matrix - plain.forward.matrix)) < 1e-12 * scale_u
-    assert np.max(np.abs(sym.conjugate.matrix - plain.conjugate.matrix)) < 1e-12 * scale_v
+    sym_u, sym_v = sym.forward.to_plain().matrix, sym.conjugate.to_plain().matrix
+    plain_u, plain_v = plain.forward.to_plain().matrix, plain.conjugate.to_plain().matrix
+    scale_u = np.max(np.abs(plain_u))
+    scale_v = np.max(np.abs(plain_v))
+    assert np.max(np.abs(sym_u - plain_u)) < 1e-12 * scale_u
+    assert np.max(np.abs(sym_v - plain_v)) < 1e-12 * scale_v
     # the identity defect is integration error at rounding level, which the
     # two evaluation orders share only to rounding
     assert sym.constraint_defect == pytest.approx(plain.constraint_defect, rel=0, abs=1e-13)
@@ -624,8 +627,9 @@ def test_symmetry_engine_equals_plain_thick_crystal():
     sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
     plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
     assert len(sym.info["blocks"]) > 1
-    scale = np.max(np.abs(plain.conjugate.matrix))
-    assert np.max(np.abs(sym.conjugate.matrix - plain.conjugate.matrix)) < 1e-12 * scale
+    sym_v, plain_v = sym.conjugate.to_plain().matrix, plain.conjugate.to_plain().matrix
+    scale = np.max(np.abs(plain_v))
+    assert np.max(np.abs(sym_v - plain_v)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("k_count, omega_count", [(9, 8), (8, 8), (1, 8)])
@@ -763,8 +767,8 @@ def test_rk4_convergence_order():
     for steps in (64, 128):
         sol = oracle.solve_UV_ode(kern, grid, steps=steps)
         errs.append(
-            np.max(np.abs(sol.forward.matrix - ref.forward.matrix))
-            + np.max(np.abs(sol.conjugate.matrix - ref.conjugate.matrix))
+            np.max(np.abs(sol.forward.to_plain().matrix - ref.forward.to_plain().matrix))
+            + np.max(np.abs(sol.conjugate.to_plain().matrix - ref.conjugate.to_plain().matrix))
         )
     assert errs[0] / errs[1] >= 8.0
 
@@ -843,7 +847,64 @@ def test_build_ab_zero_gain():
     sol = oracle.solve_UV_ode(kern, grid, steps=64)
     a_mat, b_mat = oracle.build_AB(sol.forward, sol.conjugate)
     assert np.allclose(a_mat.to_weighted().matrix, np.eye(grid.size))
-    assert np.all(b_mat.matrix == 0.0)
+    assert all(np.all(b == 0.0) for b in b_mat.blocks)
+
+
+def test_block_kernel_grid_matrices():
+    cfg = thin_reference_config(0.3)
+    grid = thin_reference_grid(cfg, 9, 8)
+    sol = oracle.solve_UV_ode(FieldKernels(cfg), grid)
+    s = np.sqrt(grid.weight)
+    for kernel in (sol.forward, sol.conjugate):
+        # the plain matrix the solvers returned before: spread, then divided
+        spread = kernel.space.spread(kernel.blocks)
+        spread /= np.outer(s, s)
+        plain = kernel.to_plain()
+        assert not plain.weighted and np.array_equal(plain.matrix, spread)
+        weighted = kernel.to_weighted()
+        ref = plain.to_weighted().matrix
+        assert weighted.weighted
+        assert np.max(np.abs(weighted.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_solvers_form_no_grid_matrix(monkeypatch):
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+
+    def no_spread(self, blocks):
+        raise AssertionError("a grid matrix was formed")
+
+    monkeypatch.setattr(oracle._BlockSpace, "spread", no_spread)
+    sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
+    series = oracle.series_UV(kern, grid, order=4, z_nodes=9, workspace=ws)
+    squeezed = oracle.build_AB(sol.forward, sol.conjugate)
+    for kernel in (sol.forward, sol.conjugate, *series, *squeezed):
+        assert isinstance(kernel, oracle.BlockKernel) and kernel.space is ws.space
+    with pytest.raises(AssertionError, match="grid matrix"):
+        sol.forward.to_weighted()
+
+
+def test_build_ab_blockwise_matches_dense():
+    cfg = thin_reference_config(1.0)
+    grid = thin_reference_grid(cfg, 9, 8)
+    sol = oracle.solve_UV_ode(FieldKernels(cfg), grid)
+    a_mat, b_mat = oracle.build_AB(sol.forward, sol.conjugate)
+    assert len(a_mat.blocks) > 1
+    a_ref, b_ref = oracle._compose_ab(
+        sol.forward.to_weighted().matrix, sol.conjugate.to_weighted().matrix
+    )
+    for got, ref in ((a_mat, a_ref), (b_mat, b_ref)):
+        assert np.max(np.abs(got.to_weighted().matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dense_min = np.min(np.linalg.eigvalsh(0.5 * (a_ref + a_ref.conj().T)))
+    block_min = min(np.min(np.linalg.eigvalsh(0.5 * (a + a.conj().T))) for a in a_mat.blocks)
+    assert block_min == pytest.approx(dense_min, rel=0, abs=1e-13)
+    # one block spanning the grid cannot be paired with the point-group blocks
+    whole = oracle.BlockKernel(grid, oracle._trivial_space(grid.size),
+                               [np.eye(grid.size, dtype=complex)])
+    with pytest.raises(oracle.GridMismatchError):
+        oracle.build_AB(whole, sol.conjugate)
 
 
 def test_squeezed_kernel_properties():
@@ -862,6 +923,15 @@ def test_ab_depth_equation_defect():
     kern = FieldKernels(cfg)
     defect = oracle.ab_consistency_defect(kern, thin_reference_grid(cfg, 9, 1), steps=256)
     assert defect < 1e-4
+
+
+def test_ab_depth_equation_defect_on_coupled_grid():
+    # with eight omega samples the pair kernel couples the modes, unlike on
+    # the single-omega grid where V is ~1e-13: the defect is truncation error
+    # of the central differences, not rounding
+    cfg = thin_reference_config(0.3)
+    defect = oracle.ab_consistency_defect(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8))
+    assert 1e-9 < defect < 1e-4
 
 
 def test_ab_depth_equation_defect_rejects_empty_check():
