@@ -17,9 +17,14 @@ methods, never written out again here, into small per-axis tables: on a
 tensor grid its magnitude is a product and its phase mismatch a sum of an
 x, a y and an omega term, so a grid matrix is formed only by broadcasting
 the tables.  A depth provider writes the kernel blocks at a requested
-depth into buffers its caller owns; the Taylor provider projects the real
-terms magnitude o Delta^k / k! and multiplies their blocks by the scalar
-pair_phase i^k.
+depth into buffers its caller owns, and forms them from the tables one
+frequency pair at a time: there the kernel is a Kronecker product of an x
+and a y table, so each block is built from the two tables transformed on
+their axis's mirror bases, and no grid-sized array is formed (Van Loan,
+J. Comput. Appl. Math. 123, 85 (2000)).  The Taylor provider does this
+once for each real term magnitude o Delta^k / k! and multiplies its
+blocks by the scalar pair_phase i^k; the direct provider does it for the
+complex kernel at every depth it is asked for.
 
 Where that provider serves (max |L Delta| <= 1.5, every default workload),
 H(z) is a polynomial with real block terms and the depth equations are
@@ -28,8 +33,8 @@ linear, so ``solve_UV_ode`` solves them by their exact z-Taylor recurrence
 count is fixed before any matrix product by Cauchy's scalar majorant,
 whose tail, reported as ``error_bound``, is a proven bound on the
 truncation, at most ``DEPTH_TOL``; ``ab_consistency_defect`` evaluates the
-same coefficients by Horner's rule at its stations.  The direct provider
-rebuilds the pair kernel at every depth; there the one RK4
+same coefficients by Horner's rule at its stations.  Where the direct
+provider serves, the one RK4
 (``_rk4_blocks``) doubles its step count from 8 until the Richardson
 estimate max|W_2n - W_n|/15 meets ``DEPTH_TOL``, and an explicit
 ``steps=`` runs that RK4 at a fixed count in either regime.  The
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,8 +269,9 @@ class GridOperators:
         Delta_ij = Dx[x, a, x', b] + Dy[y, a, y', b] + Dw[a, b]
 
     ``magnitude`` holds (Mx, My, Mw) and ``mismatch`` holds (Dx, Dy, Dw).
-    No grid-sized array is kept: ``htilde``, ``dense_magnitude`` and
-    ``dense_mismatch`` broadcast the tables to the grid when called.
+    No grid-sized array is kept: ``htilde`` broadcasts the tables to the
+    grid when called, and ``pair_tables`` regroups them per frequency pair
+    for the depth providers, which never broadcast them.
     """
 
     def __init__(self, kern: FieldKernels, grid: ModeGrid):
@@ -296,86 +303,149 @@ class GridOperators:
         full *= fw[:, None, None, :]
         return full.reshape(self.grid.size, self.grid.size)
 
-    def dense_magnitude(self) -> np.ndarray:
-        """Weight-absorbed |pair kernel| on every pair of grid modes."""
-        mx, my, mw = self.magnitude
-        full = mx[:, None, None, :, None, None] * my[None, :, None, None, :, None]
-        full = full * mw[:, None, None, :]
-        return full.reshape(self.grid.size, self.grid.size)
-
-    def dense_mismatch(self) -> np.ndarray:
-        """Phase mismatch on every pair of grid modes."""
-        dx, dy, dw = self.mismatch
-        full = dx[:, None, :, :, None, :] + dy[None, :, :, None, :, :]
-        full += dw[:, None, None, :]
-        return full.reshape(self.grid.size, self.grid.size)
-
     def max_abs_mismatch(self) -> float:
         """max |Delta| over every pair of grid modes, from the tables.
 
         For each frequency pair the x and y terms range independently, so
         the sum is extremal where both terms are; rounding is monotone, so
-        this equals the maximum of ``dense_mismatch`` exactly.
+        this equals the maximum over the tables broadcast to the grid
+        exactly.
         """
         dx, dy, dw = self.mismatch
         hi = dx.max(axis=(0, 2)) + dy.max(axis=(0, 2)) + dw
         lo = dx.min(axis=(0, 2)) + dy.min(axis=(0, 2)) + dw
         return float(max(np.max(np.abs(hi)), np.max(np.abs(lo))))
 
+    def pair_tables(self):
+        """The tables per frequency pair, as (omega, omega', K, K') arrays:
+        the x magnitude Mx Mw with the x mismatch Dx + Dw, and the y
+        magnitude My with the y mismatch Dy.  The pair kernel's (a, b)
+        part is pair_phase Mx Mw exp(iz (Dx + Dw)) (x) My exp(iz Dy)."""
+        (mx, my, mw), (dx, dy, dw) = self.magnitude, self.mismatch
+        return (
+            (mx * mw[:, :, None, None], dx.transpose(1, 3, 0, 2) + dw[:, :, None, None]),
+            (my, dy.transpose(1, 3, 0, 2)),
+        )
+
 
 # ---------------------------------------------------------------------------
 # square-grid point-group block decomposition
 
 
-class _BlockSpace:
-    """Orthogonal decomposition of grid space into invariant blocks.
+class _Block(NamedTuple):
+    """A block of a ``_BlockSpace``: the products of one sector's axis
+    bases, whole (``sign`` 0) or their part even (+1) or odd (-1) under the
+    x <-> y exchange; a ``paired`` block repeats on the exchanged basis."""
 
-    ``copies`` holds, per block, every K-mode basis on which the block
-    repeats (two for the paired two-dimensional symmetry type, one
-    otherwise): a dense real orthonormal matrix of K modes by block
-    columns.  The full basis of a copy is its Kronecker product with the
-    identity on the ``nw`` omega samples, which is never formed; complex
-    operands are viewed as real (re, im) pairs so that every product with a
-    basis runs in real arithmetic.
+    sector: int
+    sign: int
+    paired: bool = False
+
+
+def _exchange_columns(n: int, sign: int):
+    """Columns (e_first + sign e_second) * scale over the n * n products
+    f (x) f: an orthonormal basis of their part even (sign +1) or odd
+    (sign -1) under the exchange of the two factors."""
+    a, b = np.triu_indices(n, 0 if sign > 0 else 1)
+    return a * n + b, b * n + a, np.where(a == b, 0.5, math.sqrt(0.5))
+
+
+class _BlockSpace:
+    """Orthogonal decomposition of grid space into invariant blocks, held
+    per axis.
+
+    A sector is a pair (fx, fy) of real orthonormal per-axis bases whose
+    products fx (x) fy span a set of K modes; each block (``_Block``) takes
+    a sector's products whole or its exchange-even or -odd part.  The full
+    basis of a block is its K basis times the identity on the ``nw`` omega
+    samples.  Blocks of the pair kernel are formed from its per-axis
+    tables (``project_axes``, then ``kron_blocks``), so no K basis and no
+    grid matrix is needed; ``k_bases`` forms the dense K bases for
+    ``spread``.
     """
 
-    def __init__(self, copies, nw: int):
-        self.copies = copies
-        self.nk = copies[0][0].shape[0]
+    def __init__(self, sectors, blocks, nw: int):
+        self.sectors = sectors
+        widths = [self._width(blk) for blk in blocks]
+        self.blocks = [blk for blk, w in zip(blocks, widths) if w]
+        self.widths = [w for w in widths if w]
+        self.nk = sectors[0][0].shape[0] * sectors[0][1].shape[0]
         self.nw = nw
+
+    def _width(self, blk: _Block) -> int:
+        px, py = (f.shape[1] for f in self.sectors[blk.sector])
+        return px * py if blk.sign == 0 else px * (px + blk.sign) // 2
 
     @property
     def nblocks(self):
-        return len(self.copies)
+        return len(self.blocks)
 
-    def project(self, full: np.ndarray):
-        """Blocks of a real or complex grid matrix, in its dtype."""
-        nk, nw = self.nk, self.nw
-        firsts = [basis_list[0] for basis_list in self.copies]
-        # left[a, (w, j, w', re/im)]: the row K index i contracted with every
-        # basis; a real operand has no re/im axis
-        left = np.hstack(firsts).T @ full.view(float).reshape(nk, -1)
+    def k_bases(self):
+        """Per block, its dense K-mode bases: one, or two for a paired
+        block."""
+        bases = []
+        for blk in self.blocks:
+            fx, fy = self.sectors[blk.sector]
+            q = np.kron(fx, fy)
+            if blk.sign:
+                first, second, scale = _exchange_columns(fx.shape[1], blk.sign)
+                q = (q[:, first] + blk.sign * q[:, second]) * scale
+            copies = [q]
+            if blk.paired:
+                n = fx.shape[0]
+                copies.append(q.reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1))
+            bases.append(copies)
+        return bases
+
+    def project_axes(self, x: np.ndarray, y: np.ndarray):
+        """Per sector, the per-axis tables x (..., nx, nx) and y (..., ny,
+        ny) with its axis bases applied on both sides."""
+        return [(fx.T @ x @ fx, fy.T @ y @ fy) for fx, fy in self.sectors]
+
+    def kron_blocks(self, projected):
+        """Blocks of the grid matrix whose frequency-pair (a, b) part is
+        sum_t x[t, a, b] (x) y[t, a, b], in the tables' dtype.
+
+        ``projected`` holds, per sector, ``project_axes`` of stacked terms x
+        (t, nw, nw, nx, nx) and y (t, nw, nw, ny, ny).  Each sector's
+        Kronecker products are formed once, one batched product over the
+        frequency pairs; its blocks take them whole or gather their
+        exchange-even and -odd parts.
+        """
+        nw = self.nw
+        parts = []
+        for xp, yp in projected:
+            t, px, py = xp.shape[0], xp.shape[-1], yp.shape[-1]
+            # kron[(a, b), (p, p'), (q, q')]
+            kron = np.matmul(xp.reshape(t, nw * nw, px * px).transpose(1, 2, 0),
+                             yp.reshape(t, nw * nw, py * py).transpose(1, 0, 2))
+            # to the block layout ((p, q), a, (p', q'), b)
+            kron = kron.reshape(nw, nw, px, px, py, py).transpose(2, 4, 0, 3, 5, 1)
+            parts.append(kron.reshape(px * py, nw, px * py, nw))
         blocks = []
-        row = 0
-        for q in firsts:
-            d = q.shape[1]
-            blk = np.matmul(q.T, left[row:row + d].reshape(d * nw, nk, -1))
-            blocks.append(blk.view(full.dtype).reshape(d * nw, d * nw))
-            row += d
+        for blk, w in zip(self.blocks, self.widths):
+            part = parts[blk.sector]
+            if blk.sign:
+                first, second, scale = _exchange_columns(
+                    self.sectors[blk.sector][0].shape[1], blk.sign)
+                part = (part[first] + blk.sign * part[second]) * scale[:, None, None, None]
+                part = (part[:, :, first] + blk.sign * part[:, :, second]) * scale[:, None]
+            blocks.append(part.reshape(w * nw, w * nw))
         return blocks
 
     def spread(self, blocks) -> np.ndarray:
         nk, nw = self.nk, self.nw
+        bases = self.k_bases()
         # right[(a, w), j, (w', re/im)]: each copy's column index expanded to K
         right = np.empty((nk * nw, nk, 2 * nw))
         row = 0
-        for blk, basis_list in zip(blocks, self.copies):
+        for blk, basis_list in zip(blocks, bases):
             for q in basis_list:
                 d = q.shape[1]
                 np.matmul(q, blk.view(float).reshape(d * nw, d, 2 * nw),
                           out=right[row:row + d * nw])
                 row += d * nw
-        basis = np.hstack([q for basis_list in self.copies for q in basis_list])
+        basis = np.hstack([q for basis_list in bases for q in basis_list])
         return (basis @ right.reshape(nk, -1)).view(complex).reshape(nk * nw, nk * nw)
 
 
@@ -399,22 +469,11 @@ class BlockKernel:
         return self.to_weighted().to_plain()
 
 
-def _trivial_space(n: int) -> _BlockSpace:
-    # one block: a single K "mode" whose omega identity spans the grid
-    return _BlockSpace([[np.ones((1, 1))]], n)
-
-
-def _exchange_parts(f: np.ndarray):
-    """Orthonormal parts of f (x) f that are even and odd under the exchange
-    of the two factors."""
-    p = f.shape[1]
-    ff = np.kron(f, f)
-    parts = []
-    for sign, offset in ((1.0, 0), (-1.0, 1)):
-        a, b = np.triu_indices(p, offset)
-        part = ff[:, a * p + b] + sign * ff[:, b * p + a]
-        parts.append(part / np.linalg.norm(part, axis=0))
-    return parts
+def _trivial_space(grid: ModeGrid) -> _BlockSpace:
+    # one block: every product of the identity axis bases, so the block is
+    # the grid matrix itself
+    nx, ny, nw = grid.shape
+    return _BlockSpace([(np.eye(nx), np.eye(ny))], [_Block(0, 0)], nw)
 
 
 def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
@@ -444,12 +503,10 @@ def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
     odd[n - 1 - i, i] = -math.sqrt(0.5)
     if n % 2:
         even[half, half] = 1.0
-    a1, b1 = _exchange_parts(even)
-    b2, a2 = _exchange_parts(odd)
-    e = np.kron(even, odd)
-    e_swapped = e.reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1)
-    copies = [[a1], [a2], [b1], [b2], [e, e_swapped]]
-    return _BlockSpace([c for c in copies if c[0].shape[1]], grid.omega_axis.size)
+    sectors = [(even, even), (odd, odd), (even, odd)]
+    # A1, A2, B1, B2 and the paired E
+    blocks = [_Block(0, 1), _Block(1, -1), _Block(0, -1), _Block(1, 1), _Block(2, 0, True)]
+    return _BlockSpace(sectors, blocks, grid.omega_axis.size)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +516,14 @@ def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
 class _TaylorProvider:
     """Blockwise H(z) via an exact-in-practice phase Taylor expansion.
 
-    H(z) = pair_phase sum_k (iz)^k magnitude o Delta^k / k!.  Each real term
-    magnitude o Delta^k / k! is formed in one reused buffer and projected
-    in real arithmetic; its blocks are then multiplied by the constant
-    pair_phase i^k.  Valid when max |z * Delta| stays small enough that the
-    truncated exponential series is at machine precision; the caller
-    checks this.
+    H(z) = pair_phase sum_k (iz)^k magnitude o Delta^k / k!.  Per frequency
+    pair the real term magnitude o Delta^k / k! is sum_(i+j=k) X_i (x) Y_j,
+    with X_i = Mx Mw (Dx + Dw)^i / i! and Y_j = My Dy^j / j! (the tables of
+    ``GridOperators.pair_tables``), so its blocks are formed from the
+    projected per-axis tables without a grid-sized array; they are then
+    multiplied by the constant pair_phase i^k.  Valid when max |z * Delta|
+    stays small enough that the truncated exponential series is at machine
+    precision; the caller checks this.
     """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace, length: float):
@@ -474,15 +533,19 @@ class _TaylorProvider:
             kmax += 1
             fact *= kmax
             term = max_arg**kmax / fact
-        delta = ops.dense_mismatch()
-        work = ops.dense_magnitude()
+        (x_mag, x_delta), (y_mag, y_delta) = ops.pair_tables()
+        # each power in one rounding, so that order k is not k roundings off
+        factorials = np.array([math.factorial(i) for i in range(kmax + 1)], dtype=float)
+        factorials = factorials.reshape(-1, 1, 1, 1, 1)
+        orders = np.arange(kmax + 1).reshape(factorials.shape)
+        projected = space.project_axes(x_mag * x_delta**orders / factorials,
+                                       y_mag * y_delta**orders / factorials)
         phase = ops.kern.pair_phase
-        self.coeffs = [[phase * blk for blk in space.project(work)]]
-        for k in range(1, kmax + 1):
-            work *= delta
-            work /= k
+        self.coeffs = []
+        for k in range(kmax + 1):
+            terms = [(xp[:k + 1], yp[k::-1]) for xp, yp in projected]
+            self.coeffs.append([phase * blk for blk in space.kron_blocks(terms)])
             phase = phase * 1j
-            self.coeffs.append([phase * blk for blk in space.project(work)])
 
     def blocks(self, z: float, out) -> None:
         """Write the blocks of H(z) into ``out`` by Horner's rule."""
@@ -494,15 +557,25 @@ class _TaylorProvider:
 
 
 class _DirectProvider:
-    """Blockwise H(z) by rebuilding the full phase factor at every depth."""
+    """Blockwise H(z) formed at each depth from the per-axis tables.
+
+    Per frequency pair, H(z) is the single complex Kronecker term
+    pair_phase Mx Mw exp(iz (Dx + Dw)) (x) My exp(iz Dy); its blocks are
+    formed from the two projected axis tables, as the Taylor provider's
+    are, without a grid-sized array.
+    """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace):
-        self.ops = ops
+        (x_mag, self.x_delta), (self.y_mag, self.y_delta) = ops.pair_tables()
+        self.x_mag = ops.kern.pair_phase * x_mag
         self.space = space
 
     def blocks(self, z: float, out) -> None:
         """Write the blocks of H(z) into ``out``."""
-        for o, blk in zip(out, self.space.project(self.ops.htilde(z))):
+        x = self.x_mag * np.exp(1j * z * self.x_delta)
+        y = self.y_mag * np.exp(1j * z * self.y_delta)
+        projected = self.space.project_axes(x[None], y[None])
+        for o, blk in zip(out, self.space.kron_blocks(projected)):
             np.copyto(o, blk)
 
 
@@ -515,8 +588,9 @@ def _make_provider(ops: GridOperators, space: _BlockSpace, length: float):
 class GridWorkspace:
     """Precomputed grid operators, block decomposition and depth provider.
 
-    Building these dominates setup time on large grids; a workspace lets
-    the depth integration and the series share them.  ``symmetry=True``
+    A workspace lets the depth integration and the series share them; the
+    Taylor provider's block terms are most of its build time and of what it
+    keeps (69 MB on 17x17x9).  ``symmetry=True``
     block-diagonalizes over the square-grid point group when the grid
     allows it; otherwise, or with ``symmetry=False``, one block spans the
     grid.  A negative ``length`` raises ValueError.
@@ -534,7 +608,7 @@ class GridWorkspace:
         self.symmetry = symmetry
         self.ops = GridOperators(kern, grid)
         space = square_grid_blocks(grid) if symmetry and grid.size > 1 else None
-        self.space = space if space is not None else _trivial_space(grid.size)
+        self.space = space if space is not None else _trivial_space(grid)
         self.provider = _make_provider(self.ops, self.space, length)
 
 
@@ -582,7 +656,7 @@ class BogoliubovSolution:
 
 
 def _block_dims(space: _BlockSpace):
-    return [basis_list[0].shape[1] * space.nw for basis_list in space.copies]
+    return [w * space.nw for w in space.widths]
 
 
 def _taylor_term_count(norms):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,6 +160,35 @@ def dense_pair_kernel(kern, grid, z):
     return ref * np.sqrt(np.outer(grid.weight, grid.weight))
 
 
+def broadcast_mismatch(ops):
+    """The mismatch tables broadcast to every pair of grid modes."""
+    dx, dy, dw = ops.mismatch
+    full = dx[:, None, :, :, None, :] + dy[None, :, :, None, :, :]
+    full += dw[:, None, None, :]
+    return full.reshape(ops.grid.size, ops.grid.size)
+
+
+def dense_blocks(space, full):
+    """Blocks of a grid matrix through the dense K bases of ``space`` times
+    the omega identity: the reference for the blocks formed from per-axis
+    tables."""
+    blocks = []
+    for copies in space.k_bases():
+        basis = np.kron(copies[0], np.eye(space.nw))
+        blocks.append(basis.T @ full.real @ basis + 1j * (basis.T @ full.imag @ basis))
+    return blocks
+
+
+def taylor_regime_workspace(cfg, grid):
+    """Workspace on the crystal, or on the depth at which max |z Delta| is
+    1.5 when the crystal is thicker, so that its provider is Taylor."""
+    kern = FieldKernels(cfg)
+    reach = 1.5 / oracle.GridOperators(kern, grid).max_abs_mismatch()
+    ws = oracle.GridWorkspace(kern, grid, min(cfg.crystal.length, reach))
+    assert isinstance(ws.provider, oracle._TaylorProvider)
+    return ws
+
+
 def test_grid_operators_match_bilinear_kernel():
     for cfg, grid in table_cases():
         kern = FieldKernels(cfg)
@@ -177,28 +207,76 @@ def test_table_max_mismatch_equals_dense():
         dense = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
         # exact against the tables broadcast to the grid, and to rounding
         # against the kernel evaluated on every pair
-        assert ops.max_abs_mismatch() == np.max(np.abs(ops.dense_mismatch()))
+        assert ops.max_abs_mismatch() == np.max(np.abs(broadcast_mismatch(ops)))
         assert ops.max_abs_mismatch() == pytest.approx(np.max(np.abs(dense)), rel=1e-14)
 
 
 def test_taylor_coefficients_match_dense_projection():
     # reference: the complex dense kernel, straight from FieldKernels,
-    # expanded in z and projected term by term
-    cfg = thin_reference_config(0.3)
+    # expanded in z and projected term by term on the dense bases.  The
+    # mismatch is the tables' broadcast to the grid, checked here against
+    # the kernel's: the k-th power multiplies the few-ulp difference of two
+    # evaluations of Delta by k, which is not an error of the expansion.
+    for cfg, grid in table_cases():
+        ws = taylor_regime_workspace(cfg, grid)
+        kern = ws.kern
+        K, om = grid.K, grid.omega
+        delta = broadcast_mismatch(ws.ops)
+        exact = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
+        assert np.max(np.abs(delta - exact)) <= 1e-14 * np.max(np.abs(exact))
+        magnitude = dense_pair_kernel(kern, grid, 0.0)
+        for k, coeff in enumerate(ws.provider.coeffs):
+            ref = dense_blocks(ws.space, magnitude * (1j**k / math.factorial(k)) * delta**k)
+            scale = max(float(np.max(np.abs(r))) for r in ref)
+            for got, want in zip(coeff, ref, strict=True):
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def test_direct_provider_matches_dense_projection():
+    for cfg, grid in table_cases():
+        ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
+        direct = oracle._DirectProvider(ws.ops, ws.space)
+        for z in (0.0, 0.37 * ws.length, ws.length):
+            got = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
+            direct.blocks(z, got)
+            ref = dense_blocks(ws.space, ws.ops.htilde(z))
+            scale = max(float(np.max(np.abs(r))) for r in ref)
+            for blk, want in zip(got, ref, strict=True):
+                assert np.max(np.abs(blk - want)) <= 1e-12 * scale
+
+
+def test_providers_form_no_grid_sized_array(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid-sized array was formed")
+
+    monkeypatch.setattr(oracle.GridOperators, "htilde", refuse)
+    monkeypatch.setattr(oracle._BlockSpace, "spread", refuse)
+    thin = thin_reference_config(0.3)
+    thick = thick_crystal_config()
+    for cfg, grid, symmetry, provider in (
+        (thin, thin_reference_grid(thin, 9, 8), True, oracle._TaylorProvider),
+        (thick, thin_reference_grid(thick, 8, 8), True, oracle._DirectProvider),
+        (thin, rectangular_grid(thin), False, oracle._TaylorProvider),
+    ):
+        ws = oracle.GridWorkspace(FieldKernels(cfg), grid, symmetry=symmetry)
+        assert isinstance(ws.provider, provider)
+        out = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
+        ws.provider.blocks(0.37 * ws.length, out)
+        assert all(np.all(np.isfinite(blk)) for blk in out)
+    # building the acceptance-size workspace: what it allocates beyond what
+    # it keeps stays below one real grid-sized array
+    cfg = thin_reference_config(0.2)
+    grid = thin_reference_grid(cfg, 17, 9)
     kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg, 9, 8)
-    ws = oracle.GridWorkspace(kern, grid)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ws = oracle.GridWorkspace(kern, grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert isinstance(ws.provider, oracle._TaylorProvider)
-    K, om = grid.K, grid.omega
-    delta = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
-    term = dense_pair_kernel(kern, grid, 0.0)
-    for k, coeff in enumerate(ws.provider.coeffs):
-        if k:
-            term = term * (1j * delta / k)
-        ref = ws.space.project(term)
-        scale = max(float(np.max(np.abs(r))) for r in ref)
-        for got, want in zip(coeff, ref):
-            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    assert peak - kept < grid.size**2 * 8
 
 
 def test_workspace_keeps_no_grid_sized_array():
@@ -229,27 +307,27 @@ def test_workspace_keeps_no_grid_sized_array():
 
 
 def test_providers_fill_caller_buffers():
-    cfg = thin_reference_config(0.3)
-    kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg, 9, 8)
-    ws = oracle.GridWorkspace(kern, grid)
-    assert isinstance(ws.provider, oracle._TaylorProvider)
-    assert ws.space.nblocks > 1
-    dims = oracle._block_dims(ws.space)
-    length = ws.length
-    for z in (0.0, 0.37 * length, length):
-        filled = []
-        for provider in (ws.provider, oracle._DirectProvider(ws.ops, ws.space)):
-            first = [np.empty((d, d), dtype=complex) for d in dims]
-            second = [np.empty((d, d), dtype=complex) for d in dims]
-            provider.blocks(z, first)
-            kept = [blk.copy() for blk in first]
-            provider.blocks(0.5 * z + 0.2 * length, second)
-            for blk, ref in zip(first, kept):
-                assert np.array_equal(blk, ref)
-            filled.append(first)
-        for taylor, direct in zip(*filled):
-            assert np.max(np.abs(taylor - direct)) <= 1e-12 * np.max(np.abs(direct))
+    blocks = []
+    for cfg, grid in table_cases():
+        ws = taylor_regime_workspace(cfg, grid)
+        blocks.append(ws.space.nblocks)
+        dims = oracle._block_dims(ws.space)
+        length = ws.length
+        for z in (0.0, 0.37 * length, length):
+            filled = []
+            for provider in (ws.provider, oracle._DirectProvider(ws.ops, ws.space)):
+                first = [np.empty((d, d), dtype=complex) for d in dims]
+                second = [np.empty((d, d), dtype=complex) for d in dims]
+                provider.blocks(z, first)
+                kept = [blk.copy() for blk in first]
+                provider.blocks(0.5 * z + 0.2 * length, second)
+                for blk, ref in zip(first, kept):
+                    assert np.array_equal(blk, ref)
+                filled.append(first)
+            for taylor, direct in zip(*filled):
+                assert np.max(np.abs(taylor - direct)) <= 1e-12 * np.max(np.abs(direct))
+    # the point-group blocks and the one block of the trivial space
+    assert max(blocks) > 1 and min(blocks) == 1
 
 
 def test_weighted_plain_round_trip():
@@ -637,13 +715,14 @@ def test_square_grid_blocks_decompose_grid_space(k_count, omega_count):
     cfg = thin_reference_config(0.3)
     grid = thin_reference_grid(cfg, k_count, omega_count)
     space = oracle.square_grid_blocks(grid)
-    bases = np.hstack([q for copies in space.copies for q in copies])
+    k_bases = space.k_bases()
+    bases = np.hstack([q for copies in k_bases for q in copies])
     assert bases.shape == (k_count**2, k_count**2)
     assert np.max(np.abs(bases.T @ bases - np.eye(k_count**2))) < 1e-14
     dims = oracle._block_dims(space)
-    assert sum(d * len(c) for d, c in zip(dims, space.copies)) == grid.size
+    assert sum(d * len(c) for d, c in zip(dims, k_bases)) == grid.size
     h = oracle.GridOperators(FieldKernels(cfg), grid).htilde(0.37 * cfg.crystal.length)
-    back = space.spread(space.project(h))
+    back = space.spread(dense_blocks(space, h))
     assert np.max(np.abs(back - h)) < 1e-14 * np.max(np.abs(h))
 
 
@@ -901,7 +980,7 @@ def test_build_ab_blockwise_matches_dense():
     block_min = min(np.min(np.linalg.eigvalsh(0.5 * (a + a.conj().T))) for a in a_mat.blocks)
     assert block_min == pytest.approx(dense_min, rel=0, abs=1e-13)
     # one block spanning the grid cannot be paired with the point-group blocks
-    whole = oracle.BlockKernel(grid, oracle._trivial_space(grid.size),
+    whole = oracle.BlockKernel(grid, oracle._trivial_space(grid),
                                [np.eye(grid.size, dtype=complex)])
     with pytest.raises(oracle.GridMismatchError):
         oracle.build_AB(whole, sol.conjugate)
