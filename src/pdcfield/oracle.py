@@ -590,10 +590,9 @@ class GridWorkspace:
 
     A workspace lets the depth integration and the series share them; the
     Taylor provider's block terms are most of its build time and of what it
-    keeps (69 MB on 17x17x9).  ``symmetry=True``
-    block-diagonalizes over the square-grid point group when the grid
-    allows it; otherwise, or with ``symmetry=False``, one block spans the
-    grid.  A negative ``length`` raises ValueError.
+    keeps.  ``symmetry=True`` block-diagonalizes over the square-grid point
+    group when the grid allows it; otherwise, or with ``symmetry=False``,
+    one block spans the grid.  A negative ``length`` raises ValueError.
     """
 
     def __init__(self, kern: FieldKernels, grid: ModeGrid,

@@ -213,9 +213,29 @@ def test_table_max_mismatch_equals_dense():
 
 def test_taylor_coefficients_match_dense_projection():
     # reference: the complex dense kernel, straight from FieldKernels,
-    # expanded in z and projected term by term on the dense bases.  The
-    # mismatch is the tables' broadcast to the grid, checked here against
-    # the kernel's: the k-th power multiplies the few-ulp difference of two
+    # expanded in z and projected term by term
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    assert isinstance(ws.provider, oracle._TaylorProvider)
+    K, om = grid.K, grid.omega
+    delta = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
+    term = dense_pair_kernel(kern, grid, 0.0)
+    for k, coeff in enumerate(ws.provider.coeffs):
+        if k:
+            term = term * (1j * delta / k)
+        ref = dense_blocks(ws.space, term)
+        scale = max(float(np.max(np.abs(r))) for r in ref)
+        for got, want in zip(coeff, ref):
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def test_taylor_coefficients_match_dense_projection_on_table_cases():
+    # the same expansion on every shape of the per-axis tables, at the depth
+    # where max |z Delta| is 1.5 on the thick crystal.  The mismatch is the
+    # tables' broadcast to the grid, checked here against the kernel's: up
+    # to order 19 the k-th power multiplies the few-ulp difference of two
     # evaluations of Delta by k, which is not an error of the expansion.
     for cfg, grid in table_cases():
         ws = taylor_regime_workspace(cfg, grid)
