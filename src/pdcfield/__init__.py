@@ -39,8 +39,6 @@ from .oracle import (
     QuadratureError,
     build_AB,
     build_grid,
-    diamond_contract,
-    identity_kernel,
     oracle_background,
     oracle_zeta2,
     series_UV,

@@ -1,8 +1,8 @@
 """Discretized-mode and quadrature oracles.
 
 Everything here validates the closed forms independently: kernels sampled
-on a (K, omega) grid with quadrature weights turn the mode contraction
-into weighted matrix algebra, the forward/conjugate kernel pair is
+on a (K, omega) grid, with the quadrature weights absorbed, turn the mode
+contraction into the matrix product; the forward/conjugate kernel pair is
 integrated through the crystal as a matrix ODE, and the leading idler and
 background terms are checked against direct depth quadrature.
 
@@ -52,8 +52,9 @@ the K modes; the omega identity stays implicit.  The blocks change nothing
 numerically (verified against the plain path in the tests); they only
 make the default-size runs fast on one core.  The results stay in that
 form: ``solve_UV_ode``, ``series_UV`` and ``build_AB`` return
-``BlockKernel`` values, weight-absorbed blocks from which a grid matrix is
-formed only on request (``to_weighted``, ``to_plain``).  The thin-crystal
+``BlockKernel`` values, weight-absorbed blocks in which the mode
+contraction is the product of blocks; a grid matrix is formed only on
+request (``to_weighted``, ``to_plain``).  The thin-crystal
 matrix cosh/sinh needs no blocks: its matrix is the Kronecker product of
 the same per-axis magnitude factors, so any grid is diagonalized axis by
 axis (Van Loan, J. Comput. Appl. Math. 123, 85 (2000)).
@@ -195,28 +196,11 @@ class KernelMatrix:
         return KernelMatrix(self.grid, self.matrix / np.outer(s, s), False)
 
 
-def identity_kernel(grid: ModeGrid, weighted: bool = False) -> KernelMatrix:
-    if weighted:
-        return KernelMatrix(grid, np.eye(grid.size, dtype=complex), True)
-    return KernelMatrix(grid, np.diag(1.0 / grid.weight).astype(complex), False)
-
-
 def _same_grid(a: ModeGrid, b: ModeGrid) -> bool:
     return a is b or all(
         np.array_equal(x, y)
         for x, y in zip((a.kx, a.ky, a.omega_axis), (b.kx, b.ky, b.omega_axis))
     )
-
-
-def diamond_contract(a: KernelMatrix, b: KernelMatrix) -> KernelMatrix:
-    """Weighted matrix product implementing the mode contraction."""
-    if not _same_grid(a.grid, b.grid):
-        raise GridMismatchError("kernel matrices live on different grids")
-    if a.weighted != b.weighted:
-        raise GridMismatchError("mixed weighted/plain kernel matrices")
-    if a.weighted:
-        return KernelMatrix(a.grid, a.matrix @ b.matrix, True)
-    return KernelMatrix(a.grid, a.matrix @ (a.grid.weight[:, None] * b.matrix), False)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +417,32 @@ class _BlockSpace:
             blocks.append(part.reshape(w * nw, w * nw))
         return blocks
 
-    def spread(self, blocks) -> np.ndarray:
+    def _spread_rows(self, blocks):
+        """The grid matrix of ``blocks`` one omega sample a at a time: yields
+        its rows (i, a) for every K mode i, an (nk, nk * nw) array."""
         nk, nw = self.nk, self.nw
         bases = self.k_bases()
-        # right[(a, w), j, (w', re/im)]: each copy's column index expanded to K
-        right = np.empty((nk * nw, nk, 2 * nw))
-        row = 0
-        for blk, basis_list in zip(blocks, bases):
-            for q in basis_list:
-                d = q.shape[1]
-                np.matmul(q, blk.view(float).reshape(d * nw, d, 2 * nw),
-                          out=right[row:row + d * nw])
-                row += d * nw
         basis = np.hstack([q for basis_list in bases for q in basis_list])
-        return (basis @ right.reshape(nk, -1)).view(complex).reshape(nk * nw, nk * nw)
+        # right[p, j, (w', re/im)]: row (p, a) of each copy, its column index
+        # expanded to K
+        right = np.empty((nk, nk, 2 * nw))
+        for a in range(nw):
+            row = 0
+            for blk, basis_list in zip(blocks, bases):
+                for q in basis_list:
+                    d = q.shape[1]
+                    np.matmul(q, blk.view(float).reshape(d, nw, d, 2 * nw)[:, a],
+                              out=right[row:row + d])
+                    row += d
+            yield (basis @ right.reshape(nk, -1)).view(complex)
+
+    def spread(self, blocks) -> np.ndarray:
+        size = self.nk * self.nw
+        return np.stack(list(self._spread_rows(blocks)), axis=1).reshape(size, size)
+
+    def spread_max_abs(self, blocks) -> float:
+        """max |spread(blocks)|, without forming the grid matrix."""
+        return max(float(np.max(np.abs(rows))) for rows in self._spread_rows(blocks))
 
 
 @dataclass

@@ -79,39 +79,6 @@ def test_grid_extent_warning():
     assert len(grid.warnings) == 2
 
 
-def test_diamond_identity_and_associativity():
-    cfg = thin_reference_config(0.3)
-    kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg)
-    ops = oracle.GridOperators(kern, grid)
-    h = oracle.KernelMatrix(grid, ops.htilde(0.1e-3), True).to_plain()
-    ident = oracle.identity_kernel(grid)
-    scale = np.max(np.abs(h.matrix))
-    left = oracle.diamond_contract(ident, h)
-    right = oracle.diamond_contract(h, ident)
-    assert np.max(np.abs(left.matrix - h.matrix)) < 1e-8 * scale
-    assert np.max(np.abs(right.matrix - h.matrix)) < 1e-8 * scale
-    ab_c = oracle.diamond_contract(oracle.diamond_contract(h, h), h)
-    a_bc = oracle.diamond_contract(h, oracle.diamond_contract(h, h))
-    assert np.max(np.abs(ab_c.matrix - a_bc.matrix)) <= 1e-10 * np.max(
-        np.abs(ab_c.matrix)
-    )
-
-
-def test_diamond_grid_mismatch():
-    cfg = thin_reference_config(0.3)
-    kern = FieldKernels(cfg)
-    g1 = thin_reference_grid(cfg, 9)
-    g2 = thin_reference_grid(cfg, 11)
-    m1 = oracle.KernelMatrix(g1, np.eye(g1.size, dtype=complex), True)
-    m2 = oracle.KernelMatrix(g2, np.eye(g2.size, dtype=complex), True)
-    with pytest.raises(oracle.GridMismatchError):
-        oracle.diamond_contract(m1, m2)
-    m3 = oracle.KernelMatrix(g1, np.eye(g1.size, dtype=complex), False)
-    with pytest.raises(oracle.GridMismatchError):
-        oracle.diamond_contract(m1, m3)
-
-
 def thick_crystal_config():
     """A 50 mm crystal: max |L Delta| is far above the Taylor provider's range."""
     from pdcfield.config import PumpConfig, SeedConfig, CrystalConfig, DetectorConfig, ExperimentConfig
@@ -263,6 +230,24 @@ def test_direct_provider_matches_dense_projection():
             scale = max(float(np.max(np.abs(r))) for r in ref)
             for blk, want in zip(got, ref, strict=True):
                 assert np.max(np.abs(blk - want)) <= 1e-12 * scale
+
+
+def test_blockwise_contraction_spreads_to_dense_product():
+    # the mode contraction h <> h taken block by block, spread to the grid,
+    # against the dense weighted product on every shape of the tables: odd
+    # and even axes, a single omega sample and the trivial space
+    nblocks = []
+    for cfg, grid in table_cases():
+        ops = oracle.GridOperators(FieldKernels(cfg), grid)
+        space = oracle.square_grid_blocks(grid) or oracle._trivial_space(grid)
+        nblocks.append(space.nblocks)
+        h = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(space)]
+        oracle._DirectProvider(ops, space).blocks(cfg.crystal.length, h)
+        dense = ops.htilde(cfg.crystal.length)
+        ref = dense @ dense
+        got = space.spread([blk @ blk for blk in h])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert max(nblocks) > 1 and min(nblocks) == 1
 
 
 def test_providers_form_no_grid_sized_array(monkeypatch):
@@ -964,6 +949,25 @@ def test_block_kernel_grid_matrices():
         ref = plain.to_weighted().matrix
         assert weighted.weighted
         assert np.max(np.abs(weighted.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_spread_max_abs_equals_spread_without_a_grid_matrix():
+    rng = np.random.default_rng(5)
+    for cfg, grid in table_cases():
+        space = oracle.square_grid_blocks(grid) or oracle._trivial_space(grid)
+        blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                  for d in oracle._block_dims(space)]
+        tracemalloc.start()
+        try:
+            largest = space.spread_max_abs(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest == np.max(np.abs(space.spread(blocks)))
+        # one omega row of the grid matrix at a time: on grids of 8 omega
+        # samples, well under a complex grid matrix
+        if min(grid.shape) > 1:
+            assert peak < grid.size**2 * 16 / 2
 
 
 def test_solvers_form_no_grid_matrix(monkeypatch):

@@ -1,9 +1,11 @@
 """Validation-table integration: the CLI `validate` subcommand on the
 standard configuration must pass every check and exit 0."""
 
+import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from pdcfield import oracle, validate
@@ -71,3 +73,35 @@ def test_quadrature_rows_report_achieved_error(rows):
         assert match, rows[name].note
         err, rtol = map(float, match.groups())
         assert rtol == 1e-9 and err < rtol
+
+
+def test_mode_contraction_row_reports_blocks_and_rows(rows):
+    row = rows["mode-contraction identity and associativity"]
+    assert row.note == "blocks 135/54/90/90/180, 92 rows"
+    assert row.passed and row.value < 1e-10
+
+
+def test_mode_contraction_row_flags_corrupted_blocks(monkeypatch):
+    cfg = load_config(CONFIG)
+    exchange, blocks_for = oracle._exchange_columns, oracle.square_grid_blocks
+
+    def unscaled(n, sign):
+        first, second, scale = exchange(n, sign)
+        return first, second, np.ones_like(scale)
+
+    def mixed(grid):
+        # orthonormal and complete, but the first even and odd mirror
+        # vectors are rotated into each other, so the kernel couples blocks
+        space = blocks_for(grid)
+        even, odd = space.sectors[0][0], space.sectors[1][0]
+        e, o = even.copy(), odd.copy()
+        e[:, 0] = math.sqrt(0.5) * (even[:, 0] + odd[:, 0])
+        o[:, 0] = math.sqrt(0.5) * (even[:, 0] - odd[:, 0])
+        return oracle._BlockSpace([(e, e), (o, o), (e, o)], space.blocks, space.nw)
+
+    for name, corrupt in (("_exchange_columns", unscaled), ("square_grid_blocks", mixed)):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, name, corrupt)
+            res = validate.check_diamond_algebra(cfg)
+        assert res.value > 1e-10 and not res.passed, name
+    assert validate.check_diamond_algebra(cfg).value < 1e-10
