@@ -53,19 +53,21 @@ class ContractedKernel:
     peak_magnitude: float       # |value| on the kernel peak at degeneracy
 
     def __call__(self, K1, K2, omega1, omega2):
-        exponent, base = _pair_geometry(
+        k_exp, w_exp, base = _pair_geometry(
             self.parity, K1, K2, omega1, omega2, self.gauss_width, self.bandwidth, self.omega_pump
         )
         spectral_peak = gaussian_spectrum(0.0, self.bandwidth)
-        return self.prefactor * spectral_peak * base**self.order * np.exp(-exponent)
+        return self.prefactor * spectral_peak * base**self.order * np.exp(-(k_exp + w_exp))
 
 
 def _pair_geometry(parity, K1, K2, omega1, omega2, gauss_width, bandwidth, omega_pump):
     """Order-independent pieces of a thin-crystal term: the Gaussian
-    exponent of the transverse offset |K1 -/+ K2| and the spectral offset at
-    the given width and bandwidth, and the frequency base whose m-th power
-    an order-m term carries.  Odd orders pair K1 with -K2 and omega2 with
-    the pump's complement of omega1; even orders pair equal modes.
+    exponent in its transverse part 0.25 w^2 |K1 -/+ K2|^2, which depends on
+    K only, and its spectral part offset^2 / (2 bw^2), which depends on
+    omega only, at the given width and bandwidth; and the frequency base
+    whose m-th power an order-m term carries.  Odd orders pair K1 with -K2
+    and omega2 with the pump's complement of omega1; even orders pair equal
+    modes.
     """
     K1 = np.asarray(K1, dtype=float)
     K2 = np.asarray(K2, dtype=float)
@@ -76,8 +78,9 @@ def _pair_geometry(parity, K1, K2, omega1, omega2, gauss_width, bandwidth, omega
     else:
         offset, partner = omega1 - omega2, omega_pump - omega1
     dx, dy = K1[..., 0] - K2[..., 0], K1[..., 1] - K2[..., 1]
-    exponent = 0.25 * gauss_width**2 * (dx * dx + dy * dy) + offset**2 / (2.0 * bandwidth**2)
-    return exponent, np.sqrt(omega1 * partner)
+    k_exp = 0.25 * gauss_width**2 * (dx * dx + dy * dy)
+    w_exp = offset**2 / (2.0 * bandwidth**2)
+    return k_exp, w_exp, np.sqrt(omega1 * partner)
 
 
 class FieldKernels:
@@ -208,45 +211,60 @@ class FieldKernels:
             peak_magnitude=float(peak),
         )
 
+    def thin_crystal_terms(self, parity: str, K1, K2, omega1, omega2,
+                           n_max: int = 32, tol: float = 1e-10):
+        """Orders of one thin-crystal kernel sum, as K x omega factor pairs.
+
+        ``parity`` 'even' gives the forward sum (orders 2, 4, ...), 'odd'
+        the conjugate sum (orders 1, 3, ..., weight 2, without the pair
+        phase).  Yields ``(order, peak, k_factor, w_factor)`` per order m:
+        ``peak`` is the term's on-peak magnitude, ``k_factor`` =
+        exp(-k_exp / m) depends on K only and ``w_factor`` = peak *
+        (base / omega_deg)**m * exp(-w_exp / m) on omega only, and the term
+        is their product.  The sum stops once the next term's on-peak
+        magnitude falls below ``tol`` times the running peak sum, capped at
+        ``n_max`` terms.
+        """
+        p = self.cfg.pump
+        k_exp, w_exp, base = _pair_geometry(
+            parity, K1, K2, omega1, omega2, p.waist, p.bandwidth, p.omega
+        )
+        base = base / self.q.omega_deg
+        base_sq = base * base
+        power = base if parity == "odd" else base_sq
+        weight = 2.0 if parity == "odd" else 1.0
+        running_peak = 0.0
+        for n in range(1, n_max + 1):
+            m = 2 * n - 1 if parity == "odd" else 2 * n
+            peak = weight * 4.0**-n * self.contracted_kernel(m).peak_magnitude
+            if n > 1 and peak < tol * max(running_peak, 1.0e-300):
+                return
+            if n > 1:
+                power = power * base_sq
+            running_peak += peak
+            yield m, peak, np.exp(k_exp * (-1.0 / m)), peak * power * np.exp(w_exp * (-1.0 / m))
+
     def thin_crystal_uv(self, K1, K2, omega1, omega2, n_max: int = 32, tol: float = 1e-10):
         """Bogoliubov kernel sums in the thin-crystal limit.
 
         Returns ``(u_smooth, v, info)`` where the full forward kernel is the
-        identity plus ``u_smooth`` (real).  The sums stop once the next
-        term's on-peak magnitude falls below ``tol`` times the running peak
-        sum, capped at ``n_max`` terms per series; ``info`` reports the order
-        and on-peak magnitude of the last included terms.
-
-        The pair geometry is evaluated once per series; the order-m term is
-        its on-peak magnitude times (base / omega_deg)**m * exp(-exponent / m).
+        identity plus ``u_smooth`` (real).  Each sum adds the orders of
+        `thin_crystal_terms`, each the product of its K and omega factors
+        broadcast to the output shape; ``info`` reports the order and
+        on-peak magnitude of the last included terms.
         """
-        p = self.cfg.pump
         info = {"u_order": 0, "v_order": 0, "u_last": 0.0, "v_last": 0.0}
+        shape = np.broadcast_shapes(
+            np.shape(K1)[:-1], np.shape(K2)[:-1], np.shape(omega1), np.shape(omega2)
+        )
         sums = {}
-        for key, parity, weight in (("u", "even", 1.0), ("v", "odd", 2.0)):
-            exponent, base = _pair_geometry(
-                parity, K1, K2, omega1, omega2, p.waist, p.bandwidth, p.omega
-            )
-            base = base / self.q.omega_deg
-            base_sq = base * base
-            power = base if parity == "odd" else base_sq
-            total = np.zeros(np.shape(exponent))
-            term = np.empty_like(total)
-            running_peak = 0.0
-            for n in range(1, n_max + 1):
-                m = 2 * n - 1 if parity == "odd" else 2 * n
-                contrib_peak = weight * 4.0**-n * self.contracted_kernel(m).peak_magnitude
-                if n > 1 and contrib_peak < tol * max(running_peak, 1.0e-300):
-                    break
-                if n > 1:
-                    power = power * base_sq
-                np.multiply(exponent, -1.0 / m, out=term)
-                np.exp(term, out=term)
-                term *= power
-                term *= contrib_peak
-                total += term
-                running_peak += contrib_peak
+        for key, parity in (("u", "even"), ("v", "odd")):
+            total = np.zeros(shape)
+            for m, peak, k_factor, w_factor in self.thin_crystal_terms(
+                parity, K1, K2, omega1, omega2, n_max, tol
+            ):
+                total += k_factor * w_factor
                 info[f"{key}_order"] = m
-                info[f"{key}_last"] = contrib_peak
+                info[f"{key}_last"] = peak
             sums[key] = total
         return sums["u"], self.pair_phase * sums["v"], info

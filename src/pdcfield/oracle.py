@@ -966,16 +966,20 @@ def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
     levels = [
         [np.zeros((d, d), dtype=complex) for d in dims] for _ in range(order)
     ]
-    prev_f = [None] * order
-    for j, z in enumerate(zs):
+    # at the first node every level is zero, so only the first level has a
+    # nonzero integrand there
+    provider.blocks(zs[0], cur)
+    prev_f = [[np.conj(c) for c in cur]] + [None] * (order - 1)
+    for z in zs[1:]:
         provider.blocks(z, cur)
+        conj = [np.conj(c) for c in cur]
         for lvl in range(order):
-            f = []
+            mats = conj if lvl % 2 == 0 else cur
+            f = mats if lvl == 0 else [levels[lvl - 1][s] @ mats[s] for s in range(nb)]
             for s in range(nb):
-                mat = np.conj(cur[s]) if lvl % 2 == 0 else cur[s]
-                f.append(mat if lvl == 0 else levels[lvl - 1][s] @ mat)
-            if j:
-                for s in range(nb):
+                if prev_f[lvl] is None:
+                    levels[lvl][s] += (0.5 * h) * f[s]
+                else:
                     levels[lvl][s] += (0.5 * h) * (prev_f[lvl][s] + f[s])
             prev_f[lvl] = f
 
@@ -985,7 +989,7 @@ def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
         coeff = 0.5 ** (lvl + 1)
         target = v_blocks if lvl % 2 == 0 else u_blocks
         for s in range(nb):
-            target[s] = target[s] + coeff * levels[lvl][s]
+            target[s] += coeff * levels[lvl][s]
     return u_blocks, v_blocks
 
 

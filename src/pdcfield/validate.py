@@ -397,12 +397,38 @@ def check_uv_product_symmetry(sol: oracle.BogoliubovSolution) -> CheckResult:
     )
 
 
-def check_zeta_orders_consistency() -> CheckResult:
-    """Per-order closed forms against grid contraction of the kernel sums.
+def _seed_kernel_sums(kern: FieldKernels, grid: oracle.ModeGrid, k_rows: np.ndarray):
+    """The seed transformed by the thin-crystal kernel sums, on the rows
+    whose K mode ``k_rows`` selects (a mask over the grid's K modes, Kx
+    then Ky) at every omega: the signal xi + u_smooth xi and the idler
+    v conj(xi), each a (K rows, omega samples) array, and the last order and
+    on-peak term of each sum.
 
-    The kernel sums are evaluated 256 rows at a time, and only on the
-    compared rows, so no grid-sized matrix is ever formed.
+    Each order of a sum is a K factor times an omega factor, so with the
+    weighted seed X reshaped to (K modes, omega samples) its contraction is
+    k_factor @ X @ w_factor.T, and no (rows x grid) array is formed.
     """
+    nw = grid.omega_axis.size
+    K, om = grid.K[::nw], grid.omega_axis
+    xi = kern.seed_profile(grid.K, grid.omega).reshape(-1, nw)
+    weighted = grid.weight.reshape(-1, nw) * xi
+    sums, last = [], []
+    for parity, x in (("even", weighted), ("odd", np.conj(weighted))):
+        total = np.zeros((np.count_nonzero(k_rows), nw), dtype=complex)
+        for m, peak, k_factor, w_factor in kern.thin_crystal_terms(
+            parity, K[k_rows][:, None], K[None], om[:, None], om[None]
+        ):
+            total += k_factor @ x @ w_factor.T
+        sums.append(total)
+        last.append((m, peak))
+    return xi[k_rows] + sums[0], kern.pair_phase * sums[1], last
+
+
+def check_zeta_orders_consistency() -> CheckResult:
+    """Per-order closed forms against the seed contracted with the kernel
+    sums, on the K modes whose contraction support the grid fully covers
+    (a tensor subset, at every omega).  The contraction runs order by order
+    on K x omega factor pairs (`_seed_kernel_sums`)."""
     t0 = time.perf_counter()
     cfg = narrowband_reference_config(0.25)
     kern = FieldKernels(cfg)
@@ -410,32 +436,21 @@ def check_zeta_orders_consistency() -> CheckResult:
     grid = oracle.build_grid(
         5.5 / cfg.seed.waist, 13, q.omega_deg, 6.0 * cfg.pump.bandwidth, 15, cfg=cfg
     )
-    # compare on rows whose contraction support the grid fully covers
-    rows = np.where(
-        (np.abs(grid.K[:, 0]) <= 3.2 / cfg.seed.waist)
-        & (np.abs(grid.K[:, 1]) <= 3.2 / cfg.seed.waist)
-    )[0]
-    xi_vec = kern.seed_profile(grid.K, grid.omega)
-    w = grid.weight
-    signal_grid = xi_vec[rows]
-    idler_grid = np.empty_like(signal_grid)
-    for start in range(0, rows.size, 256):
-        part = slice(start, start + 256)
-        sel = rows[part]
-        u_smooth, v_val, _ = kern.thin_crystal_uv(
-            grid.K[sel][:, None, :], grid.K[None, :, :],
-            grid.omega[sel][:, None], grid.omega[None, :],
-        )
-        signal_grid[part] += (u_smooth * w[None, :]) @ xi_vec
-        idler_grid[part] = (v_val * w[None, :]) @ np.conj(xi_vec)
-
+    inner = 3.2 / cfg.seed.waist
+    k_rows = ((np.abs(grid.kx) <= inner)[:, None] & (np.abs(grid.ky) <= inner)[None, :]).ravel()
+    signal_grid, idler_grid, ((u_order, u_last), (v_order, v_last)) = _seed_kernel_sums(
+        kern, grid, k_rows
+    )
+    K = grid.K[:: grid.omega_axis.size][k_rows]
     terms = zeta_orders(kern, 10)
-    signal_cf, idler_cf = zeta_branches(terms, grid.K[rows], grid.omega[rows])
+    signal_cf, idler_cf = zeta_branches(terms, K[:, None], grid.omega_axis[None, :])
     err = max(
         np.linalg.norm(np.abs(on_grid) - np.abs(closed)) / np.linalg.norm(np.abs(closed))
         for on_grid, closed in ((signal_grid, signal_cf), (idler_grid, idler_cf))
     )
-    return _result("per-order amplitudes vs kernel-sum contraction", err, 1e-3, t0)
+    return _result("per-order amplitudes vs kernel-sum contraction", err, 1e-3, t0,
+                   note=f"u to order {u_order} (last term {u_last:.1e}), "
+                        f"v to order {v_order} (last term {v_last:.1e})")
 
 
 def check_idler_tca(cfg: ExperimentConfig, n_points: int = 9) -> CheckResult:

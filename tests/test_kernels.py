@@ -266,6 +266,9 @@ def test_thin_crystal_uv_matches_termwise_sum():
         (K[0, 0], K[1, 0], w[0, 0], w[1, 0]),                             # scalar
         (K[0][:, None], K[1][None, :], w[0][:, None], w[1][None, :]),      # (N,1)/(1,N)
         (K[0], K[1], w[0], w[1]),                                          # full arrays
+        # K and omega on separate broadcast axes: the factors stay on theirs
+        (K[0, :6, None, None, None], K[1, None, None, :7, None],
+         w[0, None, :5, None, None], w[1, None, None, None, :4]),
     ]
     for K1, K2, w1, w2 in cases:
         u, v, info = kern.thin_crystal_uv(K1, K2, w1, w2)

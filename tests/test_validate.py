@@ -3,12 +3,15 @@ standard configuration must pass every check and exit 0."""
 
 import math
 import re
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pdcfield import oracle, validate
+from pdcfield.kernels import FieldKernels
 from pdcfield.config import load_config
 from pdcfield.cli import main
 
@@ -105,3 +108,50 @@ def test_mode_contraction_row_flags_corrupted_blocks(monkeypatch):
             res = validate.check_diamond_algebra(cfg)
         assert res.value > 1e-10 and not res.passed, name
     assert validate.check_diamond_algebra(cfg).value < 1e-10
+
+
+def test_per_order_row_reports_last_orders(rows):
+    row = rows["per-order amplitudes vs kernel-sum contraction"]
+    match = re.fullmatch(
+        r"u to order (\d+) \(last term (\S+)\), v to order (\d+) \(last term (\S+)\)", row.note
+    )
+    assert match, row.note
+    u_order, v_order = int(match.group(1)), int(match.group(3))
+    assert u_order % 2 == 0 and v_order % 2 == 1
+    assert 0.0 < float(match.group(2)) < 1e-10 and 0.0 < float(match.group(4)) < 1e-10
+
+
+def test_per_order_row_factored_contraction_matches_dense():
+    # the K x omega factor pairs against the dense kernel sums, on a grid
+    # and row mask without x/y symmetry (the seed is shifted along x); the
+    # broad pump bandwidth makes the omega factors asymmetric and the seed
+    # phase makes the idler's conjugate seed differ from the seed
+    base = validate.thin_reference_config(0.25)
+    cfg = replace(base, seed=replace(base.seed, phase=0.7, shift=(300.0, 0.0)))
+    kern = FieldKernels(cfg)
+    grid = oracle.build_grid(5.5 / cfg.seed.waist, 9, kern.q.omega_deg,
+                             6.0 * cfg.pump.bandwidth, 8)
+    k_mask = (np.abs(grid.kx) <= 3.2 / cfg.seed.waist)[:, None] & (grid.ky <= 1.0 / cfg.seed.waist)
+    signal, idler, last = validate._seed_kernel_sums(kern, grid, k_mask.ravel())
+
+    rows = np.flatnonzero(np.repeat(k_mask.ravel(), grid.omega_axis.size))
+    xi = kern.seed_profile(grid.K, grid.omega)
+    u, v, info = kern.thin_crystal_uv(grid.K[rows][:, None], grid.K[None],
+                                      grid.omega[rows][:, None], grid.omega[None])
+    dense = (xi[rows] + (u * grid.weight) @ xi, (v * grid.weight) @ np.conj(xi))
+    assert signal.shape == idler.shape == (k_mask.sum(), grid.omega_axis.size)
+    for got, want in zip((signal, idler), dense):
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
+    assert last == [(info["u_order"], info["u_last"]), (info["v_order"], info["v_last"])]
+
+
+def test_per_order_row_forms_no_grid_sized_array():
+    # one (rows x grid) complex array of the 13x13x15 check is 30 MB
+    tracemalloc.start()
+    try:
+        res = validate.check_zeta_orders_consistency()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 5e6, peak
