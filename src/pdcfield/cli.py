@@ -13,10 +13,11 @@ import numpy as np
 
 from .config import ConfigError, load_config_file, with_overrides
 from .kernels import FieldKernels
-from .stimulated import zeta_orders, zeta_branches, efficiency_f, stimulated_intensity
-from .background import background_radial, background_intensity
+from .stimulated import zeta_orders, zeta_branches, efficiency_f
+from .background import background_radial
 from .fitting import (
-    FIT_PARAMETERS, ForwardModel, IntensityImage, synthesize_image, fit_parameters,
+    FIT_PARAMETERS, ForwardModel, IntensityImage, combined_intensity, synthesize_image,
+    fit_parameters,
 )
 from .plotio import write_csv, read_csv, render_plot
 from .validate import run_validation
@@ -115,8 +116,7 @@ def cmd_combined(args) -> int:
     X0 = np.stack([x, np.zeros_like(x)], axis=-1)
     out = _outdir(args)
     kernels = [FieldKernels(with_overrides(cfg, g_factor=g)) for g in g_values]
-    columns = [stimulated_intensity(k, X0, mode=args.mode) + background_intensity(k, X0)
-               for k in kernels]
+    columns = [combined_intensity(k, X0, mode=args.mode) for k in kernels]
     header = ["x_mm"] + [f"intensity_G{g:g}" for g in g_values]
     write_csv(out / "combined.csv", header, [x * 1e3, *columns])
     if not args.no_svg:

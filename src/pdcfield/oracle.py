@@ -16,28 +16,25 @@ The grid pair kernel (``GridOperators``) is sampled from the ``FieldKernels``
 methods, never written out again here, into small per-axis tables: on a
 tensor grid its magnitude is a product and its phase mismatch a sum of an
 x, a y and an omega term, so a grid matrix is formed only by broadcasting
-the tables.  A depth provider writes the kernel blocks at a requested
+the tables.  The depth provider writes the kernel blocks at a requested
 depth into buffers its caller owns, and forms them from the tables one
 frequency pair at a time: there the kernel is a Kronecker product of an x
 and a y table, so each block is built from the two tables transformed on
 their axis's mirror bases, and no grid-sized array is formed (Van Loan,
-J. Comput. Appl. Math. 123, 85 (2000)).  The Taylor provider does this
-once for each real term magnitude o Delta^k / k! and multiplies its
-blocks by the scalar pair_phase i^k; the direct provider does it for the
-complex kernel at every depth it is asked for.
-
-Where that provider serves (max |L Delta| <= 1.5, every default workload),
-H(z) is a polynomial with real block terms and the depth equations are
-linear, so ``solve_UV_ode`` solves them by their exact z-Taylor recurrence
-(``_taylor_blocks``; Corliss & Chang, ACM TOMS 8, 114 (1982)).  The term
-count is fixed before any matrix product by Cauchy's scalar majorant,
-whose tail, reported as ``error_bound``, is a proven bound on the
-truncation, at most ``DEPTH_TOL``; ``ab_consistency_defect`` evaluates the
-same coefficients by Horner's rule at its stations.  Where the direct
-provider serves, the one RK4
-(``_rk4_blocks``) doubles its step count from 8 until the Richardson
-estimate max|W_2n - W_n|/15 meets ``DEPTH_TOL``, and an explicit
-``steps=`` runs that RK4 at a fixed count in either regime.  The
+J. Comput. Appl. Math. 123, 85 (2000)).  It expands H(z) about the start
+z_j of each piece of [0, L], the pieces short enough that max |Delta|
+times their length is at most 1.5, and forms the blocks once for each
+term magnitude o exp(i z_j Delta) o Delta^k / k! (real on the first piece)
+times the scalar pair_phase i^k.  The depth equations are linear, so
+``solve_UV_ode`` solves them by their exact z-Taylor recurrence, piece by
+piece from the U and V at the end of the previous piece (``_taylor_blocks``;
+Corliss & Chang, ACM TOMS 8, 114 (1982)); the validate and acceptance
+grids need one piece.  Cauchy's scalar majorant, scaled by the norm at
+each piece start, fixes each term count before any product; the tails,
+carried through the later pieces' majorant growth, add up to
+``error_bound``, a proven bound on the truncation, at most ``DEPTH_TOL``.
+An explicit ``steps=`` runs a fixed-step RK4 (``_rk4_blocks``) instead,
+kept only because the depth-17 benchmark pins ``steps=64``.  The
 ``constraint_defect`` of a solve checks the identities of the Bogoliubov
 transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which the depth
 equations conserve; it therefore measures the solve's error.
@@ -509,21 +506,30 @@ def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
 # depth providers: blockwise pair kernel as a function of z
 
 
-class _TaylorProvider:
-    """Blockwise H(z) via an exact-in-practice phase Taylor expansion.
+def _piece_count(ops: GridOperators, length: float) -> int:
+    """The fewest pieces of [0, length] on which max |Delta| l <= 1.5."""
+    return max(1, math.ceil(ops.max_abs_mismatch() * length / 1.5))
 
-    H(z) = pair_phase sum_k (iz)^k magnitude o Delta^k / k!.  Per frequency
-    pair the real term magnitude o Delta^k / k! is sum_(i+j=k) X_i (x) Y_j,
-    with X_i = Mx Mw (Dx + Dw)^i / i! and Y_j = My Dy^j / j! (the tables of
-    ``GridOperators.pair_tables``), so its blocks are formed from the
-    projected per-axis tables without a grid-sized array; they are then
-    multiplied by the constant pair_phase i^k.  Valid when max |z * Delta|
-    stays small enough that the truncated exponential series is at machine
-    precision; the caller checks this.
+
+class _TaylorProvider:
+    """Blockwise H(z) as a phase Taylor expansion about each piece start.
+
+    [0, L] is cut into P = ceil(max |L Delta| / 1.5) pieces of ``length``
+    L / P.  About z_j = j * length, H(z_j + s) = pair_phase sum_k (is)^k
+    magnitude o exp(i z_j Delta) o Delta^k / k!; per frequency pair that
+    term is sum_(m+n=k) X_m (x) Y_n, with X_m = Mx Mw exp(i z_j (Dx + Dw))
+    (Dx + Dw)^m / m! and Y_n = My exp(i z_j Dy) Dy^n / n! (the tables of
+    ``GridOperators.pair_tables``, real on the first piece), so its blocks
+    are formed from the projected per-axis tables without a grid-sized
+    array and then multiplied by the constant pair_phase i^k.  The series
+    stops where its next term is below 1e-13 at a piece's end.  ``pieces``
+    holds the terms of every piece; ``coeffs``, those of the first.
     """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace, length: float):
-        max_arg = ops.max_abs_mismatch() * length
+        count = _piece_count(ops, length)
+        self.length = length / count
+        max_arg = ops.max_abs_mismatch() * self.length
         kmax, term, fact = 1, max_arg, 1.0
         while term > 1e-13 and kmax < 24:
             kmax += 1
@@ -534,51 +540,36 @@ class _TaylorProvider:
         factorials = np.array([math.factorial(i) for i in range(kmax + 1)], dtype=float)
         factorials = factorials.reshape(-1, 1, 1, 1, 1)
         orders = np.arange(kmax + 1).reshape(factorials.shape)
-        projected = space.project_axes(x_mag * x_delta**orders / factorials,
-                                       y_mag * y_delta**orders / factorials)
-        phase = ops.kern.pair_phase
-        self.coeffs = []
-        for k in range(kmax + 1):
-            terms = [(xp[:k + 1], yp[k::-1]) for xp, yp in projected]
-            self.coeffs.append([phase * blk for blk in space.kron_blocks(terms)])
-            phase = phase * 1j
+        x_terms = x_mag * x_delta**orders / factorials
+        y_terms = y_mag * y_delta**orders / factorials
+        self.pieces = []
+        for j in range(count):
+            start = j * self.length
+            projected = space.project_axes(
+                x_terms * np.exp(1j * start * x_delta) if j else x_terms,
+                y_terms * np.exp(1j * start * y_delta) if j else y_terms,
+            )
+            phase = ops.kern.pair_phase
+            coeffs = []
+            for k in range(kmax + 1):
+                terms = [(xp[:k + 1], yp[k::-1]) for xp, yp in projected]
+                coeffs.append([phase * blk for blk in space.kron_blocks(terms)])
+                phase = phase * 1j
+            self.pieces.append(coeffs)
+        self.coeffs = self.pieces[0]
 
     def blocks(self, z: float, out) -> None:
-        """Write the blocks of H(z) into ``out`` by Horner's rule."""
-        for s, o in enumerate(out):
-            np.copyto(o, self.coeffs[-1][s])
-            for ck in reversed(self.coeffs[:-1]):
-                o *= z
-                o += ck[s]
-
-
-class _DirectProvider:
-    """Blockwise H(z) formed at each depth from the per-axis tables.
-
-    Per frequency pair, H(z) is the single complex Kronecker term
-    pair_phase Mx Mw exp(iz (Dx + Dw)) (x) My exp(iz Dy); its blocks are
-    formed from the two projected axis tables, as the Taylor provider's
-    are, without a grid-sized array.
-    """
-
-    def __init__(self, ops: GridOperators, space: _BlockSpace):
-        (x_mag, self.x_delta), (self.y_mag, self.y_delta) = ops.pair_tables()
-        self.x_mag = ops.kern.pair_phase * x_mag
-        self.space = space
-
-    def blocks(self, z: float, out) -> None:
-        """Write the blocks of H(z) into ``out``."""
-        x = self.x_mag * np.exp(1j * z * self.x_delta)
-        y = self.y_mag * np.exp(1j * z * self.y_delta)
-        projected = self.space.project_axes(x[None], y[None])
-        for o, blk in zip(out, self.space.kron_blocks(projected)):
-            np.copyto(o, blk)
-
-
-def _make_provider(ops: GridOperators, space: _BlockSpace, length: float):
-    if ops.max_abs_mismatch() * length <= 1.5:
-        return _TaylorProvider(ops, space, length)
-    return _DirectProvider(ops, space)
+        """Write the blocks of H(z) into ``out`` by Horner's rule in z - z_j
+        on the piece of z."""
+        last = len(self.pieces) - 1
+        j = min(int(z / self.length), last) if last else 0
+        s = z - j * self.length
+        coeffs = self.pieces[j]
+        for b, o in enumerate(out):
+            np.copyto(o, coeffs[-1][b])
+            for ck in reversed(coeffs[:-1]):
+                o *= s
+                o += ck[b]
 
 
 class GridWorkspace:
@@ -604,7 +595,7 @@ class GridWorkspace:
         self.ops = GridOperators(kern, grid)
         space = square_grid_blocks(grid) if symmetry and grid.size > 1 else None
         self.space = space if space is not None else _trivial_space(grid)
-        self.provider = _make_provider(self.ops, self.space, length)
+        self.provider = _TaylorProvider(self.ops, self.space, length)
 
 
 def _workspace_for(kern: FieldKernels, grid: ModeGrid, length: float | None,
@@ -630,16 +621,15 @@ def _workspace_for(kern: FieldKernels, grid: ModeGrid, length: float | None,
 
 
 class StepCountError(RuntimeError):
-    """Raised when the depth integration cannot meet its tolerance: the RK4
-    within its step cap, or the Taylor recurrence in double precision."""
+    """Raised when the depth solve cannot meet its tolerance: the Taylor
+    recurrence's truncation cannot be proven below it in double precision,
+    or the solve turned non-finite."""
 
 
-# The one tolerance of the default depth solve: the recurrence's proven tail
-# and the RK4's step-doubling estimate.  1e-9 leaves three decades below the
-# tightest gate that consumes a solve (1e-6).
+# The one tolerance of the default depth solve: the proven bound on the
+# recurrence's truncation, summed over its pieces.  1e-9 leaves three
+# decades below the tightest gate that consumes a solve (1e-6).
 DEPTH_TOL = 1e-9
-RK4_START_STEPS = 8
-RK4_MAX_STEPS = 1024
 
 
 @dataclass
@@ -654,24 +644,31 @@ def _block_dims(space: _BlockSpace):
     return [w * space.nw for w in space.widths]
 
 
-def _taylor_term_count(norms):
-    """Term count of the depth-scaled Taylor series and its proven tail.
+def _norm_bound(blocks) -> float:
+    """Largest sqrt(||b||_1 ||b||_inf), a bound on the 2-norm, of the blocks."""
+    return max(math.sqrt(np.linalg.norm(b, 1) * np.linalg.norm(b, np.inf)) for b in blocks)
 
-    ``norms[k]`` bounds ||L^(k+1) R_k||_2 on every block.  Cauchy's scalar
-    majorant eta_0 = 1, eta_(n+1) = sum_k a_k eta_(n-k) / (2 (n+1)) bounds
-    the 2-norm of every coefficient of U and W; it is the Taylor series of
-    exp(g(x)), g(x) = sum_k a_k x^(k+1) / (2 (k+1)), so the tail after N
-    terms is exp(g(1)) less the first N eta_n.  N is the first count whose
-    tail is at most ``DEPTH_TOL`` times expm1(g(1)), the majorant of what
-    the kernel adds to the initial U = 1 and V = 0, and never above
-    ``DEPTH_TOL``: a weak kernel is resolved to the same relative accuracy
-    as a strong one.  The sums leave out eta_0, which keeps their relative
+
+def _majorant_exponent(norms) -> float:
+    """g(1) = sum_k a_k / (2 (k+1)) of ``_taylor_term_count``."""
+    return 0.5 * sum(a / (k + 1) for k, a in enumerate(norms))
+
+
+def _taylor_term_count(norms, target):
+    """Term count of a depth-scaled Taylor series and its proven tail.
+
+    ``norms[k]`` bounds ||l^(k+1) R_k||_2 on every block, for a piece of
+    length l.  Cauchy's scalar majorant eta_0 = 1, eta_(n+1) = sum_k a_k
+    eta_(n-k) / (2 (n+1)) bounds the 2-norm of every coefficient of U and W
+    started from norm 1; it is the Taylor series of exp(g(x)), g(x) =
+    sum_k a_k x^(k+1) / (2 (k+1)), so the tail after N terms is exp(g(1))
+    less the first N eta_n.  N is the first count whose tail is at most
+    ``target``.  The sums leave out eta_0, which keeps their relative
     precision, and the tail adds terms * eps * expm1(g(1)) for their
     rounding.  Raises StepCountError when the terms stop changing the sum
     before the tail meets its target.
     """
-    grown = math.expm1(0.5 * sum(a / (k + 1) for k, a in enumerate(norms)))
-    target = DEPTH_TOL * min(1.0, grown)
+    grown = math.expm1(_majorant_exponent(norms))
     eps = float(np.finfo(float).eps)
     eta = [1.0]
     partial = 0.0
@@ -688,70 +685,104 @@ def _taylor_term_count(norms):
     return len(eta), tail
 
 
+def _horner(hist, x):
+    """sum_n hist[-1-n] x^n, for coefficients stored newest first."""
+    acc = hist[0].copy()
+    for coef in hist[1:]:
+        acc *= x
+        acc += coef
+    return acc
+
+
 def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
-    """U and V blocks at each depth zeta * L by the exact Taylor recurrence.
+    """U and V blocks at each depth zeta * L by the exact Taylor recurrence,
+    piece by piece.
 
-    With H(z) = p sum_k (iz)^k R_k (``_TaylorProvider``; |p| = 1, real R_k)
-    and W = pV, the equations U' = (1/2) V H, V' = (1/2) U conj(H) become
-    U' = (1/2) W sum_k (iz)^k R_k and W' = (1/2) U sum_k (-iz)^k R_k.  In
-    x = z / L with depth-scaled terms S_k = L^(k+1) R_k, the coefficients
-    U = sum_n a_n (-ix)^n and W = sum_n b_n (ix)^n obey (Corliss & Chang,
-    ACM TOMS 8, 114 (1982))
+    On a piece of length l from z_j, H(z_j + s) = p sum_k (is)^k R_k
+    (``_TaylorProvider``; |p| = 1; R_k real on the first piece).  With W =
+    pV, U' = (1/2) V H and V' = (1/2) U conj(H) become U' = (1/2) W sum_k
+    (is)^k R_k and W' = (1/2) U sum_k (-is)^k conj(R_k).  In x = s / l with
+    S_k = l^(k+1) R_k, U = sum_n a_n (-ix)^n and W = sum_n b_n (ix)^n obey
+    (Corliss & Chang, ACM TOMS 8, 114 (1982); Jorba & Zou, Exp. Math. 14,
+    99 (2005))
 
-        a_(n+1) =  i c_n sum_k b_(n-k) S_k,   b_(n+1) = -i c_n sum_k a_(n-k) S_k,
+        a_(n+1) = i c_n sum_k b_(n-k) S_k,   b_(n+1) = -i c_n sum_k a_(n-k) conj(S_k),
 
-    with c_n = (-1)^n / (2 (n+1)), a_0 = 1 and b_0 = 0.  Each new
-    coefficient is kept transposed, so that it is one real product of
-    [S_0^T ... S_m^T] with the last m+1 coefficients viewed as float pairs;
-    they are stored newest first, which makes that history one contiguous
-    slice and puts them in Horner order.  The term count comes from
-    ``_taylor_term_count`` before any product.  Returns, per zeta, the U
-    and V blocks, and an info dict with ``terms``, ``error_bound`` (the
-    proven truncation tail of every block of U and V in the 2-norm) and
-    ``tolerance``.
+    c_n = (-1)^n / (2 (n+1)), from a_0, b_0 the U and W at the piece start
+    (1 and 0, then the previous piece's values at x = 1).  Coefficients are
+    kept transposed, so that each new one is one real product of [S_0^T ...
+    S_m^T] with the last m+1 viewed as float pairs (on a complex piece the
+    stack holds the real over the imaginary parts, and the two halves of
+    the product give S^T h and conj(S)^T h); they are stored newest first,
+    which makes that history one slice and puts them in Horner order.
+
+    A piece's term count comes from ``_taylor_term_count`` scaled by the
+    norm M_j of its start.  An error e at a piece start grows at most by the
+    majorant sum exp(g_j(1)) over the piece, so the bound after it is e
+    exp(g_j(1)) + M_j tail_j.  Each piece's share of the target keeps the
+    bound at L below ``DEPTH_TOL`` times min(1, expm1(sum_j g_j(1))), the
+    majorant of what the kernel adds to U = 1 and V = 0, so a weak kernel
+    is resolved to the same relative accuracy as a strong one.  Returns,
+    per zeta, the U and V blocks, and an info dict with ``steps`` (the
+    piece count), ``terms`` (the most of a piece), ``error_bound`` (on
+    every block of U and V in the 2-norm) and ``tolerance``.  Raises
+    StepCountError when the blocks turn non-finite.
     """
-    coeffs, space, length = workspace.provider.coeffs, workspace.space, workspace.length
-    m = len(coeffs) - 1
-    # R_0 is the magnitude, whose grid matrix is the Kronecker product of the
-    # per-axis factors: its 2-norm, the largest of its blocks', is theirs
-    # multiplied.  For k >= 1, |p i^k| = 1 gives the norms of the real terms
-    # from the complex blocks, bounded by sqrt(||.||_1 ||.||_inf).
-    norms = [length * math.prod(float(np.linalg.norm(f, 2)) for f in workspace.ops.magnitude)]
-    norms += [
-        length ** (k + 1) * max(
-            math.sqrt(np.linalg.norm(c, 1) * np.linalg.norm(c, np.inf)) for c in coeffs[k]
-        )
-        for k in range(1, m + 1)
+    space, pieces, length = workspace.space, workspace.provider.pieces, workspace.provider.length
+    count, m = len(pieces), len(pieces[0]) - 1
+    # |R_0| is the nonnegative magnitude, the Kronecker product of the
+    # per-axis factors, so their 2-norms multiplied bound R_0 on every piece.
+    # For k >= 1, |p i^k| = 1 gives the norms from the complex blocks.
+    norms = [
+        [length * math.prod(float(np.linalg.norm(f, 2)) for f in workspace.ops.magnitude)]
+        + [length ** (k + 1) * _norm_bound(coeffs[k]) for k in range(1, m + 1)]
+        for coeffs in pieces
     ]
-    terms, bound = _taylor_term_count(norms)
+    exponents = [_majorant_exponent(n) for n in norms]
+    target = DEPTH_TOL * min(1.0, math.expm1(sum(exponents)))
     phases = [workspace.kern.pair_phase * 1j**k for k in range(m + 1)]
+    dims = _block_dims(space)
+    # per block, the transposed U and W at the current piece start
+    starts = [(np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)) for d in dims]
     values = [([], []) for _ in zetas]
-    for s, d in enumerate(_block_dims(space)):
-        stack = np.empty((d, (m + 1) * d))
-        for k in range(m + 1):
-            stack[:, k * d:(k + 1) * d] = (
-                length ** (k + 1) * (coeffs[k][s].T * np.conj(phases[k])).real
-            )
-        a = np.zeros((terms, d, d), dtype=complex)
-        b = np.zeros((terms, d, d), dtype=complex)
-        np.fill_diagonal(a[-1], 1.0)
-        for n in range(terms - 1):
-            top = min(n, m) + 1
-            lo = terms - 1 - n  # slot of coefficient n; n - k sits at lo + k
-            scale = 0.5j * (-1) ** n / (n + 1)
-            for new, old, factor in ((a, b, scale), (b, a, -scale)):
-                hist = old[lo:lo + top].reshape(top * d, d).view(float)
-                prod = (stack[:, :top * d] @ hist).view(complex)
-                np.multiply(prod, factor, out=new[lo - 1])
-        for (us, vs), zeta in zip(values, zetas):
-            for hist, x, out in ((a, -1j * zeta, us), (b, 1j * zeta, vs)):
-                acc = hist[0].copy()
-                for coef in hist[1:]:
-                    acc *= x
-                    acc += coef
-                out.append(np.ascontiguousarray(acc.T))
-            vs[-1] *= np.conj(workspace.kern.pair_phase)
-    info = {"steps": 1, "terms": terms, "error_bound": bound, "tolerance": DEPTH_TOL}
+    bound, most = 0.0, 0
+    for j, coeffs in enumerate(pieces):
+        scale = max(_norm_bound(u for u, _ in starts), _norm_bound(w for _, w in starts))
+        later = math.exp(sum(exponents[j + 1:]))
+        terms, tail = _taylor_term_count(norms[j], target / (count * scale * later))
+        bound = bound * math.exp(exponents[j]) + scale * tail
+        most = max(most, terms)
+        # the requested depths on this piece, as x = s / l
+        inside = [(out, zeta * count - j) for out, zeta in zip(values, zetas)
+                  if min(int(zeta * count), count - 1) == j]
+        for s, d in enumerate(dims):
+            stack = np.empty((2 * d if j else d, (m + 1) * d))
+            for k in range(m + 1):
+                term = coeffs[k][s].T * np.conj(phases[k])
+                stack[:d, k * d:(k + 1) * d] = length ** (k + 1) * term.real
+                if j:
+                    stack[d:, k * d:(k + 1) * d] = length ** (k + 1) * term.imag
+            a, b = (np.zeros((terms, d, d), dtype=complex) for _ in range(2))
+            a[-1], b[-1] = starts[s]
+            for n in range(terms - 1):
+                top = min(n, m) + 1
+                lo = terms - 1 - n  # slot of coefficient n; n - k sits at lo + k
+                factor = 0.5j * (-1) ** n / (n + 1)
+                for new, old, sign in ((a, b, 1.0), (b, a, -1.0)):
+                    hist = old[lo:lo + top].reshape(top * d, d).view(float)
+                    prod = (stack[:, :top * d] @ hist).view(complex)
+                    if j:
+                        prod = prod[:d] + (sign * 1j) * prod[d:]
+                    np.multiply(prod, sign * factor, out=new[lo - 1])
+            for (us, vs), x in inside:
+                us.append(np.ascontiguousarray(_horner(a, -1j * x).T))
+                vs.append(np.ascontiguousarray(_horner(b, 1j * x).T))
+                vs[-1] *= np.conj(workspace.kern.pair_phase)
+            if j < count - 1:
+                starts[s] = (_horner(a, -1j), _horner(b, 1j))
+    if not all(np.all(np.isfinite(blk)) for us, vs in values for blk in us + vs):
+        raise StepCountError(f"the depth solve over {count} pieces turned non-finite")
+    info = {"steps": count, "terms": most, "error_bound": bound, "tolerance": DEPTH_TOL}
     return values, info
 
 
@@ -826,41 +857,6 @@ def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
     return U, V
 
 
-def _rk4_blocks_to_tol(provider, space: _BlockSpace, length: float):
-    """``_rk4_blocks`` at 8, 16, 32, ... steps until the step-doubling
-    estimate meets ``DEPTH_TOL``.
-
-    After each doubling the error of the 2n-step blocks is estimated as
-    max |W_2n - W_n| / 15 over the weight-absorbed U and V blocks
-    (Richardson; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
-    Returns the 2n-step blocks and an info dict with the step count, the
-    estimate, the tolerance and the RK4 steps taken in all; raises
-    StepCountError when the estimate is not finite or the next doubling
-    would pass ``RK4_MAX_STEPS``.
-    """
-    steps = RK4_START_STEPS
-    U, V = _rk4_blocks(provider, space, length, steps)
-    taken = steps
-    while 2 * steps <= RK4_MAX_STEPS:
-        steps *= 2
-        U2, V2 = _rk4_blocks(provider, space, length, steps)
-        taken += steps
-        estimate = max(
-            float(np.max(np.abs(fine - coarse)))
-            for fine, coarse in zip(U2 + V2, U + V)
-        ) / 15.0
-        U, V = U2, V2
-        if estimate <= DEPTH_TOL:
-            return U, V, {"steps": steps, "error_estimate": estimate,
-                          "tolerance": DEPTH_TOL, "steps_taken": taken}
-        if not math.isfinite(estimate):
-            break
-    raise StepCountError(
-        f"RK4 step-doubling estimate {estimate:.2e} at {steps} steps exceeds "
-        f"tolerance {DEPTH_TOL:g} (cap {RK4_MAX_STEPS} steps)"
-    )
-
-
 def _bogoliubov_defect(U, V) -> float:
     """Largest entry of U+U - V^T conj(V) - 1 and of U V^T - V U^T.
 
@@ -890,15 +886,13 @@ def solve_UV_ode(
     """Integrate the forward/conjugate kernel pair through the crystal.
 
     From the identity/zero initial kernels, with the fully z-dependent pair
-    kernel.  With ``steps=None`` the Taylor regime is solved by the exact
-    z-Taylor recurrence (``_taylor_blocks``); ``info``
-    then holds ``steps`` 1 (one Taylor step over [0, L]), ``terms``,
-    ``error_bound`` and ``tolerance``.  The direct regime (max |L Delta| >
-    1.5) doubles the classical fourth-order step count from 8 until the
-    step-doubling estimate meets ``DEPTH_TOL``; ``info`` then holds
-    ``steps``, ``error_estimate``, ``tolerance`` and ``steps_taken``.  An
-    explicit ``steps`` (at least 64) runs that fixed RK4 count in either
-    regime.  ``info["blocks"]`` lists the block sizes; ``forward`` and
+    kernel, by the exact z-Taylor recurrence run piece by piece
+    (``_taylor_blocks``); ``info`` holds ``steps`` (the piece count, 1
+    wherever max |L Delta| <= 1.5), ``terms``, ``error_bound`` and
+    ``tolerance``.  An explicit ``steps`` (at least 64) runs the classical
+    fourth-order RK4 at that fixed count instead, with ``info`` holding
+    ``steps``; it remains only because the depth-17 benchmark pins
+    ``steps=64``.  ``info["blocks"]`` lists the block sizes; ``forward`` and
     ``conjugate`` hold the U and V blocks of the workspace's block space.
     ``constraint_defect`` is the Bogoliubov identity defect of the result.
     ``symmetry=True`` block-diagonalizes over the square grid point group
@@ -908,13 +902,11 @@ def solve_UV_ode(
         raise ValueError("steps must be >= 64")
     workspace = _workspace_for(kern, grid, length, symmetry, workspace)
     space = workspace.space
-    if steps is not None:
-        U, V = _rk4_blocks(workspace.provider, space, workspace.length, steps)
-        info = {"steps": steps}
-    elif isinstance(workspace.provider, _TaylorProvider):
+    if steps is None:
         [(U, V)], info = _taylor_blocks(workspace)
     else:
-        U, V, info = _rk4_blocks_to_tol(workspace.provider, space, workspace.length)
+        U, V = _rk4_blocks(workspace.provider, space, workspace.length, steps)
+        info = {"steps": steps}
     info["blocks"] = _block_dims(space)
     return BogoliubovSolution(
         forward=BlockKernel(grid, space, U),
@@ -1026,12 +1018,15 @@ def ab_consistency_defect(
     The derivative of the composed kernels is estimated there by central
     differences and compared against the right-hand side built from the
     pair kernel; returns the worst relative residual.  Raises ValueError
-    outside the Taylor regime, for ``stations < 1`` and when a station
-    lacks a neighbour inside [0, L].
+    where the expansion needs more than one piece (max |L Delta| > 1.5),
+    for ``stations < 1`` and when a station lacks a neighbour inside [0, L].
     """
+    # before the build: on one block, every term of every piece is grid-sized
+    if _piece_count(GridOperators(kern, grid), kern.cfg.crystal.length if length is None
+                    else length) > 1:
+        raise ValueError("ab_consistency_defect needs the one-piece Taylor regime "
+                         "(max |L Delta| <= 1.5)")
     workspace = GridWorkspace(kern, grid, length, symmetry=False)
-    if not isinstance(workspace.provider, _TaylorProvider):
-        raise ValueError("ab_consistency_defect needs the Taylor regime (max |L Delta| <= 1.5)")
     if stations < 1:
         raise ValueError(f"stations must be >= 1, got {stations}")
     station_steps = sorted(

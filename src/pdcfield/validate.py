@@ -241,10 +241,13 @@ def check_diamond_algebra(cfg: ExperimentConfig) -> CheckResult:
     ops = oracle.GridOperators(FieldKernels(cfg), grid)
     space = oracle.square_grid_blocks(grid)
     dims = oracle._block_dims(space)
-    h = [np.empty((d, d), dtype=complex) for d in dims]
-    oracle._DirectProvider(ops, space).blocks(cfg.crystal.length, h)
+    (x_mag, x_delta), (y_mag, y_delta) = ops.pair_tables()
+    length = cfg.crystal.length
+    h = space.kron_blocks(space.project_axes(
+        (ops.kern.pair_phase * x_mag * np.exp(1j * length * x_delta))[None],
+        (y_mag * np.exp(1j * length * y_delta))[None]))
     hh = [blk @ blk for blk in h]
-    dense = ops.htilde(cfg.crystal.length)
+    dense = ops.htilde(length)
     rows = np.arange(0, grid.size, 8)
 
     def defect(got, want):

@@ -148,12 +148,22 @@ def dense_blocks(space, full):
 
 def taylor_regime_workspace(cfg, grid):
     """Workspace on the crystal, or on the depth at which max |z Delta| is
-    1.5 when the crystal is thicker, so that its provider is Taylor."""
+    1.5 when the crystal is thicker, so that one piece spans it."""
     kern = FieldKernels(cfg)
     reach = 1.5 / oracle.GridOperators(kern, grid).max_abs_mismatch()
     ws = oracle.GridWorkspace(kern, grid, min(cfg.crystal.length, reach))
-    assert isinstance(ws.provider, oracle._TaylorProvider)
+    assert len(ws.provider.pieces) == 1
     return ws
+
+
+def direct_regime_cases():
+    """(config, grid) pairs with max |L Delta| > 1.5, where the depth
+    expansion takes several pieces: the thick crystal and the shipped
+    config on its own reference grid."""
+    thick = thick_crystal_config()
+    shipped = load_config_file(SHIPPED_CONFIG)
+    return [(thick, thin_reference_grid(thick, 8, 8)),
+            (shipped, thin_reference_grid(shipped, 8, 8))]
 
 
 def test_grid_operators_match_bilinear_kernel():
@@ -185,7 +195,7 @@ def test_taylor_coefficients_match_dense_projection():
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 8)
     ws = oracle.GridWorkspace(kern, grid)
-    assert isinstance(ws.provider, oracle._TaylorProvider)
+    assert len(ws.provider.pieces) == 1
     K, om = grid.K, grid.omega
     delta = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
     term = dense_pair_kernel(kern, grid, 0.0)
@@ -219,17 +229,32 @@ def test_taylor_coefficients_match_dense_projection_on_table_cases():
                 assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
-def test_direct_provider_matches_dense_projection():
-    for cfg, grid in table_cases():
-        ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
-        direct = oracle._DirectProvider(ws.ops, ws.space)
-        for z in (0.0, 0.37 * ws.length, ws.length):
+def piece_depths(ws):
+    """A depth inside every piece of the workspace's provider, each seam
+    from both sides, and both ends of the crystal."""
+    length, count = ws.provider.length, len(ws.provider.pieces)
+    seams = [j * length for j in range(1, count)]
+    inside = [(j + 0.37) * length for j in range(count)]
+    return [0.0, *inside, *seams, *(np.nextafter(z, 0.0) for z in seams), ws.length]
+
+
+def test_piecewise_provider_matches_dense_projection():
+    # every shape of the tables (all of them past one piece on the full
+    # crystal), the shipped config and one workspace that one piece spans
+    cases = table_cases() + direct_regime_cases()[1:]
+    workspaces = [oracle.GridWorkspace(FieldKernels(cfg), grid) for cfg, grid in cases]
+    workspaces.append(taylor_regime_workspace(*cases[0]))
+    pieces = []
+    for ws in workspaces:
+        pieces.append(len(ws.provider.pieces))
+        for z in piece_depths(ws):
             got = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
-            direct.blocks(z, got)
+            ws.provider.blocks(z, got)
             ref = dense_blocks(ws.space, ws.ops.htilde(z))
             scale = max(float(np.max(np.abs(r))) for r in ref)
             for blk, want in zip(got, ref, strict=True):
                 assert np.max(np.abs(blk - want)) <= 1e-12 * scale
+    assert min(pieces) == 1 and max(pieces) >= 2
 
 
 def test_blockwise_contraction_spreads_to_dense_product():
@@ -241,9 +266,13 @@ def test_blockwise_contraction_spreads_to_dense_product():
         ops = oracle.GridOperators(FieldKernels(cfg), grid)
         space = oracle.square_grid_blocks(grid) or oracle._trivial_space(grid)
         nblocks.append(space.nblocks)
-        h = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(space)]
-        oracle._DirectProvider(ops, space).blocks(cfg.crystal.length, h)
-        dense = ops.htilde(cfg.crystal.length)
+        (x_mag, x_delta), (y_mag, y_delta) = ops.pair_tables()
+        length = cfg.crystal.length
+        h = space.kron_blocks(space.project_axes(
+            (ops.kern.pair_phase * x_mag * np.exp(1j * length * x_delta))[None],
+            (y_mag * np.exp(1j * length * y_delta))[None],
+        ))
+        dense = ops.htilde(length)
         ref = dense @ dense
         got = space.spread([blk @ blk for blk in h])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -258,13 +287,13 @@ def test_providers_form_no_grid_sized_array(monkeypatch):
     monkeypatch.setattr(oracle._BlockSpace, "spread", refuse)
     thin = thin_reference_config(0.3)
     thick = thick_crystal_config()
-    for cfg, grid, symmetry, provider in (
-        (thin, thin_reference_grid(thin, 9, 8), True, oracle._TaylorProvider),
-        (thick, thin_reference_grid(thick, 8, 8), True, oracle._DirectProvider),
-        (thin, rectangular_grid(thin), False, oracle._TaylorProvider),
+    for cfg, grid, symmetry, several in (
+        (thin, thin_reference_grid(thin, 9, 8), True, False),
+        (thick, thin_reference_grid(thick, 8, 8), True, True),
+        (thin, rectangular_grid(thin), False, False),
     ):
         ws = oracle.GridWorkspace(FieldKernels(cfg), grid, symmetry=symmetry)
-        assert isinstance(ws.provider, provider)
+        assert (len(ws.provider.pieces) > 1) == several
         out = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
         ws.provider.blocks(0.37 * ws.length, out)
         assert all(np.all(np.isfinite(blk)) for blk in out)
@@ -280,7 +309,7 @@ def test_providers_form_no_grid_sized_array(monkeypatch):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(ws.provider, oracle._TaylorProvider)
+    assert len(ws.provider.pieces) == 1
     assert peak - kept < grid.size**2 * 8
 
 
@@ -314,23 +343,18 @@ def test_workspace_keeps_no_grid_sized_array():
 def test_providers_fill_caller_buffers():
     blocks = []
     for cfg, grid in table_cases():
-        ws = taylor_regime_workspace(cfg, grid)
+        ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
         blocks.append(ws.space.nblocks)
         dims = oracle._block_dims(ws.space)
         length = ws.length
-        for z in (0.0, 0.37 * length, length):
-            filled = []
-            for provider in (ws.provider, oracle._DirectProvider(ws.ops, ws.space)):
-                first = [np.empty((d, d), dtype=complex) for d in dims]
-                second = [np.empty((d, d), dtype=complex) for d in dims]
-                provider.blocks(z, first)
-                kept = [blk.copy() for blk in first]
-                provider.blocks(0.5 * z + 0.2 * length, second)
-                for blk, ref in zip(first, kept):
-                    assert np.array_equal(blk, ref)
-                filled.append(first)
-            for taylor, direct in zip(*filled):
-                assert np.max(np.abs(taylor - direct)) <= 1e-12 * np.max(np.abs(direct))
+        for z in piece_depths(ws):
+            first = [np.empty((d, d), dtype=complex) for d in dims]
+            second = [np.empty((d, d), dtype=complex) for d in dims]
+            ws.provider.blocks(z, first)
+            kept = [blk.copy() for blk in first]
+            ws.provider.blocks(0.5 * z + 0.2 * length, second)
+            for blk, ref in zip(first, kept):
+                assert np.array_equal(blk, ref)
     # the point-group blocks and the one block of the trivial space
     assert max(blocks) > 1 and min(blocks) == 1
 
@@ -420,7 +444,7 @@ def test_solver_tolerance_contract(monkeypatch):
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
-    assert isinstance(ws.provider, oracle._TaylorProvider)
+    assert len(ws.provider.pieces) == 1
     sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
     info = sol.info
     assert set(info) == {"steps", "terms", "error_bound", "tolerance", "blocks"}
@@ -437,41 +461,40 @@ def test_solver_tolerance_contract(monkeypatch):
         oracle.solve_UV_ode(kern, grid, workspace=ws)
 
 
-def test_step_doubling_tolerance_contract(monkeypatch):
-    # the direct regime keeps step doubling of the RK4
-    cfg = thick_crystal_config()
+@pytest.mark.parametrize("case", range(2), ids=["thick", "shipped"])
+def test_piecewise_tolerance_contract(monkeypatch, case):
+    # the direct regime: the recurrence over several pieces
+    cfg, grid = direct_regime_cases()[case]
     kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
-    assert isinstance(ws.provider, oracle._DirectProvider)
     sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
     info = sol.info
+    assert set(info) == {"steps", "terms", "error_bound", "tolerance", "blocks"}
+    assert info["steps"] == len(ws.provider.pieces) >= 2
     assert info["tolerance"] == oracle.DEPTH_TOL
-    assert info["error_estimate"] <= info["tolerance"]
-    assert info["steps"] >= 2 * oracle.RK4_START_STEPS
-    # every doubling from the start count up to the returned count was run
-    assert info["steps_taken"] == 2 * info["steps"] - oracle.RK4_START_STEPS
+    assert 0.0 <= info["error_bound"] <= info["tolerance"]
     assert info["blocks"] == oracle._block_dims(ws.space)
     assert sol.constraint_defect < 1e-10
-    # a tolerance the step cap cannot meet raises instead of returning
+    # a tolerance below what double precision can prove raises instead of
+    # returning
     monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-18)
-    monkeypatch.setattr(oracle, "RK4_MAX_STEPS", 32)
-    with pytest.raises(oracle.StepCountError, match="32 steps"):
+    with pytest.raises(oracle.StepCountError, match="cannot be proven"):
         oracle.solve_UV_ode(kern, grid, workspace=ws)
 
 
-def test_step_doubling_stops_on_non_finite_estimate():
-    # a kernel that turns non-finite must not be doubled on up to the step cap
-    cfg = thin_reference_config(0.2)
-    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8))
-
-    class Poisoned:
-        def blocks(self, z, out):
-            ws.provider.blocks(z, out)
-            out[0][0, 0] = np.nan
-
-    with pytest.raises(oracle.StepCountError, match="estimate nan at 16 steps"):
-        oracle._rk4_blocks_to_tol(Poisoned(), ws.space, ws.length)
+@pytest.mark.parametrize("case", range(2), ids=["thick", "shipped"])
+def test_piecewise_solve_raises_on_nan_coefficient(case):
+    # a NaN in a term the majorant reads (order 1 of the first piece) and in
+    # one it does not (order 0 of the last piece, whose bound comes from the
+    # magnitude factors) must not come back as a solution
+    cfg, grid = direct_regime_cases()[case]
+    pieces = oracle.GridWorkspace(FieldKernels(cfg), grid).provider.pieces
+    for piece, order in ((0, 1), (-1, 0)):
+        ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
+        ws.provider.pieces[piece][order][0][0, 0] = np.nan
+        with pytest.raises(oracle.StepCountError):
+            oracle._taylor_blocks(ws)
+    assert len(pieces) >= 2
 
 
 def test_workspace_must_match_grid_and_config():
@@ -529,18 +552,6 @@ def test_negative_length_and_too_few_nodes_rejected():
             oracle.series_UV(kern, grid, z_nodes=z_nodes)
 
 
-def test_step_doubling_estimate_is_honest():
-    cfg = thin_reference_config(0.5)
-    kern = FieldKernels(cfg)
-    ws = oracle.GridWorkspace(kern, thin_reference_grid(cfg, 9, 8))
-    U, V, info = oracle._rk4_blocks_to_tol(ws.provider, ws.space, ws.length)
-    U_ref, V_ref = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 512)
-    true_error = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_ref + V_ref)
-    )
-    assert true_error <= 2.0 * info["error_estimate"] <= 2.0 * oracle.DEPTH_TOL
-
-
 def _max_diff(first, second):
     return max(float(np.max(np.abs(a - b))) for a, b in zip(first, second))
 
@@ -552,6 +563,26 @@ def test_taylor_tail_bound_is_honest(monkeypatch, count, gain):
     ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, count, count))
     [(U, V)], info = oracle._taylor_blocks(ws)
     monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-13)
+    [(U_ref, V_ref)], ref_info = oracle._taylor_blocks(ws)
+    assert ref_info["terms"] > info["terms"]
+    assert _max_diff(U + V, U_ref + V_ref) <= info["error_bound"] <= 1e-9
+
+
+@pytest.mark.parametrize("case, ref_tol", [(0, 1e-13), (1, 1e-12)], ids=["thick", "shipped"])
+def test_piecewise_tail_bound_is_honest(monkeypatch, case, ref_tol):
+    # the reference tolerance is the least the bound can prove: its rounding
+    # allowance grows with the majorant, which gain 1 on the shipped config
+    # puts above 1e-13
+    cfg, grid = direct_regime_cases()[case]
+    ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
+    [(U, V)], info = oracle._taylor_blocks(ws)
+    assert info["steps"] >= 2
+    # the 1024-step RK4 stands on its own step-doubling estimate
+    U_fine, V_fine = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 1024)
+    U_half, V_half = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 512)
+    estimate = _max_diff(U_fine + V_fine, U_half + V_half) / 15.0
+    assert _max_diff(U + V, U_fine + V_fine) <= info["error_bound"] + 2.0 * estimate
+    monkeypatch.setattr(oracle, "DEPTH_TOL", ref_tol)
     [(U_ref, V_ref)], ref_info = oracle._taylor_blocks(ws)
     assert ref_info["terms"] > info["terms"]
     assert _max_diff(U + V, U_ref + V_ref) <= info["error_bound"] <= 1e-9
@@ -575,7 +606,7 @@ def test_taylor_recurrence_matches_rk4_property(gain, fraction):
     cfg = thin_reference_config(gain)
     ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8),
                               fraction * cfg.crystal.length)
-    assert isinstance(ws.provider, oracle._TaylorProvider)
+    assert len(ws.provider.pieces) == 1
     [(U, V)], info = oracle._taylor_blocks(ws)
     U_64, V_64 = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
     U_32, V_32 = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 32)
@@ -706,7 +737,7 @@ def test_symmetry_engine_equals_plain_thick_crystal():
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
-    assert isinstance(ws.provider, oracle._DirectProvider)
+    assert len(ws.provider.pieces) >= 2
     sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
     plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
     assert len(sym.info["blocks"]) > 1
