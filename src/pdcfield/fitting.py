@@ -66,13 +66,12 @@ class SeparableBasis:
     """Basis images of one geometry at seed photons n = 1 and gain xi = 1.
 
     ``intensity(n, xi)`` is n * gain * sum_b |A_b(xi)|^2 + xi^2 * d, where
-    ``polys`` holds the field polynomials A_b and ``background`` holds d
-    (None without background).
+    ``polys`` holds the field polynomials A_b and ``background`` holds d.
     """
 
     polys: list
     gain: float                 # detector gain, |amplitude|^2 to photon counts
-    background: np.ndarray | None
+    background: np.ndarray
 
     @staticmethod
     def _check(photons, squeezing):
@@ -83,18 +82,14 @@ class SeparableBasis:
 
     def intensity(self, photons: float, squeezing: float) -> np.ndarray:
         self._check(photons, squeezing)
-        value = photons * self.gain * polynomial_intensity(self.polys, squeezing)
-        if self.background is not None:
-            value = value + squeezing**2 * self.background
-        return value
+        return (photons * self.gain * polynomial_intensity(self.polys, squeezing)
+                + squeezing**2 * self.background)
 
     def derivatives(self, photons: float, squeezing: float):
         """Partial derivatives of the intensity in n and in xi."""
         self._check(photons, squeezing)
         per_photon, slope = polynomial_intensity(self.polys, squeezing, derivative=True)
-        d_squeezing = photons * self.gain * slope
-        if self.background is not None:
-            d_squeezing = d_squeezing + 2.0 * squeezing * self.background
+        d_squeezing = photons * self.gain * slope + 2.0 * squeezing * self.background
         return self.gain * per_photon, d_squeezing
 
 
@@ -102,12 +97,11 @@ class ForwardModel:
     """Evaluates the combined intensity for parameter overrides."""
 
     def __init__(self, cfg: ExperimentConfig, mode: str = "coherent", model: str = "tca",
-                 m_max: int = 6, include_background: bool = True):
+                 m_max: int = 6):
         self.cfg = cfg
         self.mode = mode
         self.model = model
         self.m_max = m_max
-        self.include_background = include_background
 
     def basis(self, X0, **geometry) -> SeparableBasis:
         """Basis images at X0 for overrides other than n and xi."""
@@ -115,8 +109,7 @@ class ForwardModel:
                                            **geometry))
         polys = field_polynomials(kern, X0, mode=self.mode, model=self.model,
                                   m_max=self.m_max)
-        background = background_intensity(kern, X0) if self.include_background else None
-        return SeparableBasis(polys, kern.q.detector_gain, background)
+        return SeparableBasis(polys, kern.q.detector_gain, background_intensity(kern, X0))
 
     def intensity(self, X0, **overrides) -> np.ndarray:
         photons = overrides.pop("seed_photons", self.cfg.seed.photons)

@@ -101,18 +101,6 @@ class FieldKernels:
 
     # -- beam profiles -------------------------------------------------
 
-    def pump_profile(self, K, omega):
-        """Pump parameter function in the Fourier domain (complex)."""
-        p = self.cfg.pump
-        zeta0 = self.q.pump_amplitude * np.exp(1j * p.phase)
-        return (
-            math.sqrt(2.0 * math.pi)
-            * zeta0
-            * p.waist
-            * gaussian_spectrum(np.asarray(omega) - p.omega, p.bandwidth)
-            * np.exp(-0.25 * p.waist**2 * _norm_sq(K))
-        )
-
     def seed_profile(self, K, omega):
         """Seed parameter function, shifted in the Fourier domain."""
         s = self.cfg.seed

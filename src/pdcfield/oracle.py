@@ -39,19 +39,22 @@ kept only because the depth-17 benchmark pins ``steps=64``.  The
 transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which the depth
 equations conserve; it therefore measures the solve's error.
 
-On a centered square K grid the depth integration and the series run
-block by block over the grid's point group.  The blocks come from the grid
-itself, not from a character table: each K axis pairs every point with its
-mirror image into an even and an odd combination, and the x <-> y exchange
-splits the products of an x and a y factor into the five symmetry types
-(``square_grid_blocks``).  Each block keeps a small dense real basis over
-the K modes; the omega identity stays implicit.  The blocks change nothing
-numerically (verified against the plain path in the tests); they only
-make the default-size runs fast on one core.  The results stay in that
-form: ``solve_UV_ode``, ``series_UV`` and ``build_AB`` return
-``BlockKernel`` values, weight-absorbed blocks in which the mode
-contraction is the product of blocks; a grid matrix is formed only on
-request (``to_weighted``, ``to_plain``).  The thin-crystal
+A ``GridWorkspace`` is the one place a depth problem is configured: it
+fixes the grid, the crystal length and the block space, and the depth
+solve, the series and the depth-equation check take everything from it.
+The block space follows from the grid.  On a centered square K grid it is
+the grid's point group, built from the grid itself, not from a character
+table: each K axis pairs every point with its mirror image into an even
+and an odd combination, and the x <-> y exchange splits the products of
+an x and a y factor into the five symmetry types (``square_grid_blocks``);
+any other grid takes one block spanning it.  Each block keeps a small
+dense real basis over the K modes; the omega identity stays implicit.
+The blocks change nothing numerically (verified against one spanning
+block in the tests); they only make the default-size runs fast on one
+core.  The results stay in that form: ``solve_UV_ode``, ``series_UV`` and
+``build_AB`` return ``BlockKernel`` values, weight-absorbed blocks in
+which the mode contraction is the product of blocks; a grid matrix is
+formed only on request (``to_weighted``, ``to_plain``).  The thin-crystal
 matrix cosh/sinh needs no blocks: its matrix is the Kronecker product of
 the same per-axis magnitude factors, so any grid is diagonalized axis by
 axis (Van Loan, J. Comput. Appl. Math. 123, 85 (2000)).
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -414,12 +418,18 @@ class _BlockSpace:
             blocks.append(part.reshape(w * nw, w * nw))
         return blocks
 
+    @cached_property
+    def _row_bases(self):
+        """``k_bases`` and all their columns side by side, formed once for
+        ``_spread_rows``."""
+        bases = self.k_bases()
+        return bases, np.hstack([q for basis_list in bases for q in basis_list])
+
     def _spread_rows(self, blocks):
         """The grid matrix of ``blocks`` one omega sample a at a time: yields
         its rows (i, a) for every K mode i, an (nk, nk * nw) array."""
         nk, nw = self.nk, self.nw
-        bases = self.k_bases()
-        basis = np.hstack([q for basis_list in bases for q in basis_list])
+        bases, basis = self._row_bases
         # right[p, j, (w', re/im)]: row (p, a) of each copy, its column index
         # expanded to K
         right = np.empty((nk, nk, 2 * nw))
@@ -506,9 +516,13 @@ def square_grid_blocks(grid: ModeGrid) -> _BlockSpace | None:
 # depth providers: blockwise pair kernel as a function of z
 
 
-def _piece_count(ops: GridOperators, length: float) -> int:
-    """The fewest pieces of [0, length] on which max |Delta| l <= 1.5."""
-    return max(1, math.ceil(ops.max_abs_mismatch() * length / 1.5))
+def _pair_kernel_blocks(ops: GridOperators, space: _BlockSpace, z: float):
+    """Blocks of the exact weight-absorbed pair kernel at depth z, formed
+    from the per-axis tables."""
+    (x_mag, x_delta), (y_mag, y_delta) = ops.pair_tables()
+    return space.kron_blocks(space.project_axes(
+        (ops.kern.pair_phase * x_mag * np.exp(1j * z * x_delta))[None],
+        (y_mag * np.exp(1j * z * y_delta))[None]))
 
 
 class _TaylorProvider:
@@ -527,9 +541,10 @@ class _TaylorProvider:
     """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace, length: float):
-        count = _piece_count(ops, length)
+        max_delta = ops.max_abs_mismatch()
+        count = max(1, math.ceil(max_delta * length / 1.5))
         self.length = length / count
-        max_arg = ops.max_abs_mismatch() * self.length
+        max_arg = max_delta * self.length
         kmax, term, fact = 1, max_arg, 1.0
         while term > 1e-13 and kmax < 24:
             kmax += 1
@@ -573,17 +588,19 @@ class _TaylorProvider:
 
 
 class GridWorkspace:
-    """Precomputed grid operators, block decomposition and depth provider.
+    """A depth problem: grid operators, block space and depth provider.
 
-    A workspace lets the depth integration and the series share them; the
-    Taylor provider's block terms are most of its build time and of what it
-    keeps.  ``symmetry=True`` block-diagonalizes over the square-grid point
-    group when the grid allows it; otherwise, or with ``symmetry=False``,
-    one block spans the grid.  A negative ``length`` raises ValueError.
+    The workspace is the one place where a depth problem is configured.
+    It fixes the grid, the crystal ``length`` (the config's unless given;
+    a negative one raises ValueError) and the block space, which follows
+    from the grid: the square-grid point group where the grid has that
+    symmetry (``square_grid_blocks``), one block spanning the grid
+    otherwise.  The depth solve, the series and the depth-equation check
+    share it; the Taylor provider's block terms are most of its build time
+    and of what it keeps.
     """
 
-    def __init__(self, kern: FieldKernels, grid: ModeGrid,
-                 length: float | None = None, symmetry: bool = True):
+    def __init__(self, kern: FieldKernels, grid: ModeGrid, length: float | None = None):
         if length is None:
             length = kern.cfg.crystal.length
         if not length >= 0.0:
@@ -591,28 +608,20 @@ class GridWorkspace:
         self.kern = kern
         self.grid = grid
         self.length = length
-        self.symmetry = symmetry
         self.ops = GridOperators(kern, grid)
-        space = square_grid_blocks(grid) if symmetry and grid.size > 1 else None
+        space = square_grid_blocks(grid) if grid.size > 1 else None
         self.space = space if space is not None else _trivial_space(grid)
         self.provider = _TaylorProvider(self.ops, self.space, length)
 
 
-def _workspace_for(kern: FieldKernels, grid: ModeGrid, length: float | None,
-                   symmetry: bool, workspace: GridWorkspace | None) -> GridWorkspace:
-    """``workspace`` if it was built for this config, grid, length and
-    symmetry setting; a new workspace when none is given."""
+def _workspace_for(kern: FieldKernels, grid: ModeGrid,
+                   workspace: GridWorkspace | None) -> GridWorkspace:
+    """``workspace`` if it was built for this config and grid; a new
+    workspace when none is given."""
     if workspace is None:
-        return GridWorkspace(kern, grid, length, symmetry)
-    if (
-        workspace.kern.cfg != kern.cfg
-        or not _same_grid(workspace.grid, grid)
-        or (length is not None and length != workspace.length)
-        or workspace.symmetry != symmetry
-    ):
-        raise GridMismatchError(
-            "workspace was built for a different config, grid, length or symmetry setting"
-        )
+        return GridWorkspace(kern, grid)
+    if workspace.kern.cfg != kern.cfg or not _same_grid(workspace.grid, grid):
+        raise GridMismatchError("workspace was built for a different config or grid")
     return workspace
 
 
@@ -879,13 +888,14 @@ def solve_UV_ode(
     kern: FieldKernels,
     grid: ModeGrid,
     steps: int | None = None,
-    length: float | None = None,
-    symmetry: bool = True,
     workspace: GridWorkspace | None = None,
 ) -> BogoliubovSolution:
     """Integrate the forward/conjugate kernel pair through the crystal.
 
-    From the identity/zero initial kernels, with the fully z-dependent pair
+    The crystal length and the block space are the workspace's; without
+    one, a default ``GridWorkspace(kern, grid)`` is built, and a given one
+    must match ``kern``'s config and ``grid`` (GridMismatchError).  From
+    the identity/zero initial kernels, with the fully z-dependent pair
     kernel, by the exact z-Taylor recurrence run piece by piece
     (``_taylor_blocks``); ``info`` holds ``steps`` (the piece count, 1
     wherever max |L Delta| <= 1.5), ``terms``, ``error_bound`` and
@@ -895,12 +905,10 @@ def solve_UV_ode(
     ``steps=64``.  ``info["blocks"]`` lists the block sizes; ``forward`` and
     ``conjugate`` hold the U and V blocks of the workspace's block space.
     ``constraint_defect`` is the Bogoliubov identity defect of the result.
-    ``symmetry=True`` block-diagonalizes over the square grid point group
-    when the grid allows it (same result to rounding).
     """
     if steps is not None and steps < 64:
         raise ValueError("steps must be >= 64")
-    workspace = _workspace_for(kern, grid, length, symmetry, workspace)
+    workspace = _workspace_for(kern, grid, workspace)
     space = workspace.space
     if steps is None:
         [(U, V)], info = _taylor_blocks(workspace)
@@ -920,22 +928,22 @@ def series_UV(
     kern: FieldKernels,
     grid: ModeGrid,
     order: int = 4,
-    length: float | None = None,
     z_nodes: int = 33,
-    symmetry: bool = True,
     workspace: GridWorkspace | None = None,
 ) -> tuple[BlockKernel, BlockKernel]:
     """Iterated-integral expansion of the kernel pair up to ``order``.
 
-    Nested z-ordered integrals are evaluated by cumulative trapezoid
-    rule over ``z_nodes`` (at least 2) equally spaced depths.  Returns the
-    U and V blocks of the workspace's block space.
+    The crystal length and the block space are the workspace's, as for
+    ``solve_UV_ode``.  Nested z-ordered integrals are evaluated by
+    cumulative trapezoid rule over ``z_nodes`` (at least 2) equally spaced
+    depths through the workspace's length.  Returns the U and V blocks of
+    the workspace's block space.
     """
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
     if z_nodes < 2:
         raise ValueError(f"z_nodes must be >= 2, got {z_nodes}")
-    workspace = _workspace_for(kern, grid, length, symmetry, workspace)
+    workspace = _workspace_for(kern, grid, workspace)
     u_blocks, v_blocks = _series_blocks(workspace, order, z_nodes)
     return (
         BlockKernel(grid, workspace.space, u_blocks),
@@ -1003,59 +1011,48 @@ def build_AB(U: BlockKernel, V: BlockKernel) -> tuple[BlockKernel, BlockKernel]:
     return BlockKernel(U.grid, U.space, list(a)), BlockKernel(U.grid, U.space, list(b))
 
 
-def ab_consistency_defect(
-    kern: FieldKernels,
-    grid: ModeGrid,
-    steps: int = 256,
-    stations: int = 8,
-    length: float | None = None,
-) -> float:
+# The depth-equation check's difference step L / AB_STEPS and its number of
+# stations, evenly spaced inside (0, L)
+AB_STEPS = 256
+AB_STATIONS = 8
+
+
+def ab_consistency_defect(kern: FieldKernels, grid: ModeGrid) -> float:
     """Residual of the squeezed-kernel depth equations along the trajectory.
 
-    The kernel pair's Taylor coefficients (``_taylor_blocks``, one block
-    spanning the grid) are evaluated by Horner's rule at ``stations``
-    evenly spaced depths z = m h and at z = m h +- h, with h = L / steps.
-    The derivative of the composed kernels is estimated there by central
-    differences and compared against the right-hand side built from the
-    pair kernel; returns the worst relative residual.  Raises ValueError
-    where the expansion needs more than one piece (max |L Delta| > 1.5),
-    for ``stations < 1`` and when a station lacks a neighbour inside [0, L].
+    Runs on a default ``GridWorkspace(kern, grid)``, block by block, on any
+    number of pieces.  One ``_taylor_blocks`` call gives the U and V blocks
+    at ``AB_STATIONS`` evenly spaced depths z = m h and at z = m h +- h,
+    with h = L / ``AB_STEPS``; the bases are real, so A and B compose block
+    by block.  Their derivative is estimated there by central differences
+    and compared against the right-hand side built from the blocks of the
+    exact pair kernel at z = m h.  Returns the worst over the stations of
+    the largest grid entry of the residual over the largest grid entry of
+    the right-hand side.
     """
-    # before the build: on one block, every term of every piece is grid-sized
-    if _piece_count(GridOperators(kern, grid), kern.cfg.crystal.length if length is None
-                    else length) > 1:
-        raise ValueError("ab_consistency_defect needs the one-piece Taylor regime "
-                         "(max |L Delta| <= 1.5)")
-    workspace = GridWorkspace(kern, grid, length, symmetry=False)
-    if stations < 1:
-        raise ValueError(f"stations must be >= 1, got {stations}")
+    workspace = GridWorkspace(kern, grid)
+    space = workspace.space
     station_steps = sorted(
-        {int(round(i * steps / (stations + 1))) for i in range(1, stations + 1)}
+        {int(round(i * AB_STEPS / (AB_STATIONS + 1))) for i in range(1, AB_STATIONS + 1)}
     )
-    if station_steps[0] < 1 or station_steps[-1] > steps - 1:
-        raise ValueError(
-            f"{stations} stations at {steps} steps: a station lacks a neighbour inside [0, L]"
-        )
-    h = workspace.length / steps
-    zetas = [(m + d) / steps for m in station_steps for d in (-1, 0, 1)]
+    h = workspace.length / AB_STEPS
+    zetas = [(m + d) / AB_STEPS for m in station_steps for d in (-1, 0, 1)]
     values, _ = _taylor_blocks(workspace, zetas)
 
     worst = 0.0
     for i, m in enumerate(station_steps):
         (a_prev, b_prev), (a_here, b_here), (a_next, b_next) = (
-            _compose_ab(u[0], v[0]) for u, v in values[3 * i:3 * i + 3]
+            zip(*(_compose_ab(u, v) for u, v in zip(us, vs)))
+            for us, vs in values[3 * i:3 * i + 3]
         )
-        da = (a_next - a_prev) / (2.0 * h)
-        db = (b_next - b_prev) / (2.0 * h)
-        ht = workspace.ops.htilde(m * h)
-        rhs_a = 0.5 * (ht.conj().T @ np.conj(b_here)) + 0.5 * (b_here @ ht)
-        rhs_b = 0.5 * (ht.conj().T @ a_here.T) + 0.5 * (a_here @ np.conj(ht))
-        scale = max(np.max(np.abs(rhs_a)), np.max(np.abs(rhs_b)), 1e-300)
-        worst = max(
-            worst,
-            float(np.max(np.abs(da - rhs_a)) / scale),
-            float(np.max(np.abs(db - rhs_b)) / scale),
-        )
+        ht = _pair_kernel_blocks(workspace.ops, space, m * h)
+        rhs_a = [0.5 * (t.conj().T @ np.conj(b)) + 0.5 * (b @ t) for t, b in zip(ht, b_here)]
+        rhs_b = [0.5 * (t.conj().T @ a.T) + 0.5 * (a @ np.conj(t)) for t, a in zip(ht, a_here)]
+        res_a = [(n - p) / (2.0 * h) - r for n, p, r in zip(a_next, a_prev, rhs_a)]
+        res_b = [(n - p) / (2.0 * h) - r for n, p, r in zip(b_next, b_prev, rhs_b)]
+        scale = max(space.spread_max_abs(rhs_a), space.spread_max_abs(rhs_b), 1e-300)
+        worst = max(worst, space.spread_max_abs(res_a) / scale,
+                    space.spread_max_abs(res_b) / scale)
     return worst
 
 

@@ -61,14 +61,6 @@ def test_seed_profile_values(combined_cfg):
     )
 
 
-def test_pump_one_over_e_point(combined_cfg):
-    kern = FieldKernels(combined_cfg)
-    p = combined_cfg.pump
-    on_axis = kern.pump_profile(np.zeros(2), p.omega)
-    off = kern.pump_profile(np.array([2.0 / p.waist, 0.0]), p.omega)
-    assert abs(off / on_axis) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
 def test_mismatch_collinear_zero(collinear_cfg):
     kern = FieldKernels(collinear_cfg)
     q = kern.q

@@ -266,13 +266,8 @@ def test_blockwise_contraction_spreads_to_dense_product():
         ops = oracle.GridOperators(FieldKernels(cfg), grid)
         space = oracle.square_grid_blocks(grid) or oracle._trivial_space(grid)
         nblocks.append(space.nblocks)
-        (x_mag, x_delta), (y_mag, y_delta) = ops.pair_tables()
-        length = cfg.crystal.length
-        h = space.kron_blocks(space.project_axes(
-            (ops.kern.pair_phase * x_mag * np.exp(1j * length * x_delta))[None],
-            (y_mag * np.exp(1j * length * y_delta))[None],
-        ))
-        dense = ops.htilde(length)
+        h = oracle._pair_kernel_blocks(ops, space, cfg.crystal.length)
+        dense = ops.htilde(cfg.crystal.length)
         ref = dense @ dense
         got = space.spread([blk @ blk for blk in h])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -287,12 +282,12 @@ def test_providers_form_no_grid_sized_array(monkeypatch):
     monkeypatch.setattr(oracle._BlockSpace, "spread", refuse)
     thin = thin_reference_config(0.3)
     thick = thick_crystal_config()
-    for cfg, grid, symmetry, several in (
-        (thin, thin_reference_grid(thin, 9, 8), True, False),
-        (thick, thin_reference_grid(thick, 8, 8), True, True),
-        (thin, rectangular_grid(thin), False, False),
+    for cfg, grid, several in (
+        (thin, thin_reference_grid(thin, 9, 8), False),
+        (thick, thin_reference_grid(thick, 8, 8), True),
+        (thin, rectangular_grid(thin), False),
     ):
-        ws = oracle.GridWorkspace(FieldKernels(cfg), grid, symmetry=symmetry)
+        ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
         assert (len(ws.provider.pieces) > 1) == several
         out = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
         ws.provider.blocks(0.37 * ws.length, out)
@@ -511,42 +506,17 @@ def test_workspace_must_match_grid_and_config():
         with pytest.raises(oracle.GridMismatchError):
             oracle.series_UV(kern_called, grid, workspace=ws)
     ws = oracle.GridWorkspace(kern, grid)
-    with pytest.raises(oracle.GridMismatchError):
-        oracle.series_UV(kern, grid, length=0.5 * cfg.crystal.length, workspace=ws)
     # an equal grid built separately is accepted
     same = thin_reference_grid(cfg, 8, 8)
     oracle.series_UV(FieldKernels(cfg), same, order=1, z_nodes=3, workspace=ws)
-
-
-def test_workspace_must_match_symmetry_setting():
-    # a symmetry=True call must not silently run this workspace's one plain
-    # block of 64 modes
-    cfg = thin_reference_config(0.3)
-    kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg, 8, 1)
-    plain = oracle.GridWorkspace(kern, grid, symmetry=False)
-    assert oracle._block_dims(plain.space) == [64]
-    with pytest.raises(oracle.GridMismatchError, match="symmetry"):
-        oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True, workspace=plain)
-    with pytest.raises(oracle.GridMismatchError, match="symmetry"):
-        oracle.series_UV(kern, grid, symmetry=True, workspace=plain)
-    blocked = oracle.GridWorkspace(kern, grid)
-    with pytest.raises(oracle.GridMismatchError, match="symmetry"):
-        oracle.series_UV(kern, grid, symmetry=False, workspace=blocked)
-    assert len(oracle.solve_UV_ode(kern, grid, steps=64, workspace=blocked).info["blocks"]) > 1
 
 
 def test_negative_length_and_too_few_nodes_rejected():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 1)
-    length = -cfg.crystal.length
     with pytest.raises(ValueError, match="length must be >= 0"):
-        oracle.GridWorkspace(kern, grid, length)
-    with pytest.raises(ValueError, match="length must be >= 0"):
-        oracle.solve_UV_ode(kern, grid, steps=64, length=length)
-    with pytest.raises(ValueError, match="length must be >= 0"):
-        oracle.series_UV(kern, grid, length=length)
+        oracle.GridWorkspace(kern, grid, length=-cfg.crystal.length)
     for z_nodes in (1, 0):
         with pytest.raises(ValueError, match="z_nodes must be >= 2"):
             oracle.series_UV(kern, grid, z_nodes=z_nodes)
@@ -713,12 +683,20 @@ def test_identity_defect_flags_dropped_convolution_term():
     assert oracle._bogoliubov_defect(*_taylor_textbook(ws, info["terms"], True)) > 1e-6
 
 
-def test_symmetry_engine_equals_plain():
+def plain_spaces(monkeypatch):
+    """Make every workspace built from here on take one block spanning the
+    grid, the plain reference for the point-group blocks."""
+    monkeypatch.setattr(oracle, "square_grid_blocks", lambda grid: None)
+
+
+def test_symmetry_engine_equals_plain(monkeypatch):
     cfg = thin_reference_config(0.35)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 8)
-    sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
-    plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
+    sym = oracle.solve_UV_ode(kern, grid, steps=64)
+    plain_spaces(monkeypatch)
+    plain = oracle.solve_UV_ode(kern, grid, steps=64)
+    assert plain.info["blocks"] == [grid.size]
     assert len(sym.info["blocks"]) > 1
     sym_u, sym_v = sym.forward.to_plain().matrix, sym.conjugate.to_plain().matrix
     plain_u, plain_v = plain.forward.to_plain().matrix, plain.conjugate.to_plain().matrix
@@ -731,15 +709,17 @@ def test_symmetry_engine_equals_plain():
     assert sym.constraint_defect == pytest.approx(plain.constraint_defect, rel=0, abs=1e-13)
 
 
-def test_symmetry_engine_equals_plain_thick_crystal():
+def test_symmetry_engine_equals_plain_thick_crystal(monkeypatch):
     # a long crystal forces the per-depth kernel rebuild path
     cfg = thick_crystal_config()
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
     ws = oracle.GridWorkspace(kern, grid)
     assert len(ws.provider.pieces) >= 2
-    sym = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=True)
-    plain = oracle.solve_UV_ode(kern, grid, steps=64, symmetry=False)
+    sym = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
+    plain_spaces(monkeypatch)
+    plain = oracle.solve_UV_ode(kern, grid, steps=64)
+    assert plain.info["blocks"] == [grid.size]
     assert len(sym.info["blocks"]) > 1
     sym_v, plain_v = sym.conjugate.to_plain().matrix, plain.conjugate.to_plain().matrix
     scale = np.max(np.abs(plain_v))
@@ -869,7 +849,8 @@ def test_constraint_along_trajectory():
     grid = thin_reference_grid(cfg, 8, 8)
     L = cfg.crystal.length
     for frac in np.linspace(1.0 / 8.0, 1.0, 8):
-        sol = oracle.solve_UV_ode(kern, grid, steps=64, length=frac * L)
+        ws = oracle.GridWorkspace(kern, grid, length=frac * L)
+        sol = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
         assert sol.constraint_defect < 1e-6
 
 
@@ -1055,7 +1036,7 @@ def test_squeezed_kernel_properties():
 def test_ab_depth_equation_defect():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
-    defect = oracle.ab_consistency_defect(kern, thin_reference_grid(cfg, 9, 1), steps=256)
+    defect = oracle.ab_consistency_defect(kern, thin_reference_grid(cfg, 9, 1))
     assert defect < 1e-4
 
 
@@ -1068,19 +1049,13 @@ def test_ab_depth_equation_defect_on_coupled_grid():
     assert 1e-9 < defect < 1e-4
 
 
-def test_ab_depth_equation_defect_rejects_empty_check():
-    # steps=2 and stations=0 leave no station with a neighbour on either
-    # side, so there is nothing to check: raise rather than report 0.0
-    cfg = thin_reference_config(0.3)
-    kern = FieldKernels(cfg)
-    grid = thin_reference_grid(cfg, 9, 1)
-    with pytest.raises(ValueError, match="lacks a neighbour"):
-        oracle.ab_consistency_defect(kern, grid, steps=2)
-    with pytest.raises(ValueError, match="stations must be >= 1"):
-        oracle.ab_consistency_defect(kern, grid, stations=0)
-    thick = thick_crystal_config()
-    with pytest.raises(ValueError, match="Taylor regime"):
-        oracle.ab_consistency_defect(FieldKernels(thick), thin_reference_grid(thick, 8, 8))
+def test_ab_depth_equation_defect_on_multi_piece_crystals():
+    # the thick crystal and the shipped config, each on its own coupled
+    # 8x8x8 grid where the depth expansion takes several pieces
+    for cfg, grid in direct_regime_cases():
+        kern = FieldKernels(cfg)
+        assert len(oracle.GridWorkspace(kern, grid).provider.pieces) > 1
+        assert oracle.ab_consistency_defect(kern, grid) < 1e-4
 
 
 def test_uv_product_symmetry_reported():
