@@ -27,6 +27,9 @@ from .background import background_intensity
 
 FIT_PARAMETERS = ("seed_photons", "squeezing", "seed_waist", "pdc_angle")
 
+# Convergence: an accepted step smaller than this relative to every parameter
+XTOL = 1e-12
+
 
 def combined_intensity(
     kern: FieldKernels, X0, mode: str = "coherent", model: str = "tca", m_max: int = 6
@@ -167,10 +170,8 @@ def fit_parameters(
     image: IntensityImage,
     free=("seed_photons", "squeezing"),
     init: dict | None = None,
-    bounds: dict | None = None,
     fixed: dict | None = None,
     max_iterations: int = 60,
-    xtol: float = 1e-12,
 ) -> FitResult:
     """Recover parameters from an intensity image.
 
@@ -201,8 +202,7 @@ def fit_parameters(
         "pdc_angle": model.cfg.crystal.pdc_angle,
     }
     init = {**defaults, **(init or {})}
-    bounds = dict(bounds or {})
-    default_bounds = {
+    bounds = {
         "seed_photons": (0.0, math.inf),
         "squeezing": (0.0, math.inf),
         "seed_waist": (1e-9, math.inf),
@@ -233,7 +233,7 @@ def fit_parameters(
     def clip(theta):
         out = []
         for name, val in zip(free, theta):
-            lo, hi = bounds.get(name, default_bounds[name])
+            lo, hi = bounds[name]
             out.append(min(max(val, lo), hi))
         return np.array(out)
 
@@ -292,7 +292,7 @@ def fit_parameters(
                 resid = data - mu
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
-                if step_size < xtol:
+                if step_size < XTOL:
                     status = "converged"
                     converged = True
                 break

@@ -23,9 +23,10 @@ and a y table, so each block is built from the two tables transformed on
 their axis's mirror bases, and no grid-sized array is formed (Van Loan,
 J. Comput. Appl. Math. 123, 85 (2000)).  It expands H(z) about the start
 z_j of each piece of [0, L], the pieces short enough that max |Delta|
-times their length is at most 1.5, and forms the blocks once for each
-term magnitude o exp(i z_j Delta) o Delta^k / k! (real on the first piece)
-times the scalar pair_phase i^k.  The depth equations are linear, so
+times their length is at most 1.5, and keeps the blocks of each term
+magnitude o exp(i z_j Delta) o Delta^k / k! (real on the first piece); the
+scalar factors pair_phase and i^k are applied only where H(z) is
+evaluated.  The depth equations are linear, so
 ``solve_UV_ode`` solves them by their exact z-Taylor recurrence, piece by
 piece from the U and V at the end of the previous piece (``_taylor_blocks``;
 Corliss & Chang, ACM TOMS 8, 114 (1982)); the validate and acceptance
@@ -35,9 +36,11 @@ carried through the later pieces' majorant growth, add up to
 ``error_bound``, a proven bound on the truncation, at most ``DEPTH_TOL``.
 An explicit ``steps=`` runs a fixed-step RK4 (``_rk4_blocks``) instead,
 kept only because the depth-17 benchmark pins ``steps=64``.  The
-``constraint_defect`` of a solve checks the identities of the Bogoliubov
-transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which the depth
-equations conserve; it therefore measures the solve's error.
+``constraint_defect`` of a solve checks the identities of the
+Bogoliubov transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which
+the depth equations conserve; it therefore measures the solve's error.
+It is the largest entry on the grid, so it does not depend on the block
+basis the solve ran in.
 
 A ``GridWorkspace`` is the one place a depth problem is configured: it
 fixes the grid, the crystal length and the block space, and the depth
@@ -529,21 +532,23 @@ class _TaylorProvider:
     """Blockwise H(z) as a phase Taylor expansion about each piece start.
 
     [0, L] is cut into P = ceil(max |L Delta| / 1.5) pieces of ``length``
-    L / P.  About z_j = j * length, H(z_j + s) = pair_phase sum_k (is)^k
-    magnitude o exp(i z_j Delta) o Delta^k / k!; per frequency pair that
-    term is sum_(m+n=k) X_m (x) Y_n, with X_m = Mx Mw exp(i z_j (Dx + Dw))
-    (Dx + Dw)^m / m! and Y_n = My exp(i z_j Dy) Dy^n / n! (the tables of
-    ``GridOperators.pair_tables``, real on the first piece), so its blocks
-    are formed from the projected per-axis tables without a grid-sized
-    array and then multiplied by the constant pair_phase i^k.  The series
-    stops where its next term is below 1e-13 at a piece's end.  ``pieces``
-    holds the terms of every piece; ``coeffs``, those of the first.
+    L / P.  About z_j = j * length, H(z_j + s) = pair_phase sum_k (is)^k R_k
+    with R_k = magnitude o exp(i z_j Delta) o Delta^k / k!; per frequency
+    pair R_k is sum_(m+n=k) X_m (x) Y_n, with X_m = Mx Mw exp(i z_j (Dx +
+    Dw)) (Dx + Dw)^m / m! and Y_n = My exp(i z_j Dy) Dy^n / n! (the tables
+    of ``GridOperators.pair_tables``, real on the first piece), so its
+    blocks are formed from the projected per-axis tables without a
+    grid-sized array.  The series stops where its next term is below 1e-13
+    at a piece's end.  ``pieces`` holds the blocks of the R_k of every
+    piece, real on the first; ``coeffs``, those of the first.  The phase
+    pair_phase i^k is applied only in ``blocks``.
     """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace, length: float):
         max_delta = ops.max_abs_mismatch()
         count = max(1, math.ceil(max_delta * length / 1.5))
         self.length = length / count
+        self.phase = ops.kern.pair_phase
         max_arg = max_delta * self.length
         kmax, term, fact = 1, max_arg, 1.0
         while term > 1e-13 and kmax < 24:
@@ -564,27 +569,25 @@ class _TaylorProvider:
                 x_terms * np.exp(1j * start * x_delta) if j else x_terms,
                 y_terms * np.exp(1j * start * y_delta) if j else y_terms,
             )
-            phase = ops.kern.pair_phase
-            coeffs = []
-            for k in range(kmax + 1):
-                terms = [(xp[:k + 1], yp[k::-1]) for xp, yp in projected]
-                coeffs.append([phase * blk for blk in space.kron_blocks(terms)])
-                phase = phase * 1j
-            self.pieces.append(coeffs)
+            self.pieces.append([
+                space.kron_blocks([(xp[:k + 1], yp[k::-1]) for xp, yp in projected])
+                for k in range(kmax + 1)
+            ])
         self.coeffs = self.pieces[0]
 
     def blocks(self, z: float, out) -> None:
-        """Write the blocks of H(z) into ``out`` by Horner's rule in z - z_j
-        on the piece of z."""
+        """Write the blocks of H(z) into ``out``: Horner's rule in i (z -
+        z_j) on the piece of z, times pair_phase."""
         last = len(self.pieces) - 1
         j = min(int(z / self.length), last) if last else 0
-        s = z - j * self.length
+        step = 1j * (z - j * self.length)
         coeffs = self.pieces[j]
         for b, o in enumerate(out):
             np.copyto(o, coeffs[-1][b])
             for ck in reversed(coeffs[:-1]):
-                o *= s
+                o *= step
                 o += ck[b]
+            o *= self.phase
 
 
 class GridWorkspace:
@@ -645,7 +648,7 @@ DEPTH_TOL = 1e-9
 class BogoliubovSolution:
     forward: BlockKernel           # U, weight-absorbed point-group blocks
     conjugate: BlockKernel         # V, weight-absorbed point-group blocks
-    constraint_defect: float       # identity defect of the blocks, see _bogoliubov_defect
+    constraint_defect: float       # identity defect read on the grid, see _bogoliubov_defect
     info: dict
 
 
@@ -708,12 +711,12 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
     piece by piece.
 
     On a piece of length l from z_j, H(z_j + s) = p sum_k (is)^k R_k
-    (``_TaylorProvider``; |p| = 1; R_k real on the first piece).  With W =
-    pV, U' = (1/2) V H and V' = (1/2) U conj(H) become U' = (1/2) W sum_k
-    (is)^k R_k and W' = (1/2) U sum_k (-is)^k conj(R_k).  In x = s / l with
-    S_k = l^(k+1) R_k, U = sum_n a_n (-ix)^n and W = sum_n b_n (ix)^n obey
-    (Corliss & Chang, ACM TOMS 8, 114 (1982); Jorba & Zou, Exp. Math. 14,
-    99 (2005))
+    (``_TaylorProvider`` keeps the R_k, real on the first piece; |p| = 1).
+    With W = pV, U' = (1/2) V H and V' = (1/2) U conj(H) become U' = (1/2)
+    W sum_k (is)^k R_k and W' = (1/2) U sum_k (-is)^k conj(R_k).  In x =
+    s / l with S_k = l^(k+1) R_k, U = sum_n a_n (-ix)^n and W = sum_n b_n
+    (ix)^n obey (Corliss & Chang, ACM TOMS 8, 114 (1982); Jorba & Zou, Exp.
+    Math. 14, 99 (2005))
 
         a_(n+1) = i c_n sum_k b_(n-k) S_k,   b_(n+1) = -i c_n sum_k a_(n-k) conj(S_k),
 
@@ -741,7 +744,6 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
     count, m = len(pieces), len(pieces[0]) - 1
     # |R_0| is the nonnegative magnitude, the Kronecker product of the
     # per-axis factors, so their 2-norms multiplied bound R_0 on every piece.
-    # For k >= 1, |p i^k| = 1 gives the norms from the complex blocks.
     norms = [
         [length * math.prod(float(np.linalg.norm(f, 2)) for f in workspace.ops.magnitude)]
         + [length ** (k + 1) * _norm_bound(coeffs[k]) for k in range(1, m + 1)]
@@ -749,7 +751,6 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
     ]
     exponents = [_majorant_exponent(n) for n in norms]
     target = DEPTH_TOL * min(1.0, math.expm1(sum(exponents)))
-    phases = [workspace.kern.pair_phase * 1j**k for k in range(m + 1)]
     dims = _block_dims(space)
     # per block, the transposed U and W at the current piece start
     starts = [(np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)) for d in dims]
@@ -767,7 +768,7 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
         for s, d in enumerate(dims):
             stack = np.empty((2 * d if j else d, (m + 1) * d))
             for k in range(m + 1):
-                term = coeffs[k][s].T * np.conj(phases[k])
+                term = coeffs[k][s].T
                 stack[:d, k * d:(k + 1) * d] = length ** (k + 1) * term.real
                 if j:
                     stack[d:, k * d:(k + 1) * d] = length ** (k + 1) * term.imag
@@ -866,22 +867,24 @@ def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
     return U, V
 
 
-def _bogoliubov_defect(U, V) -> float:
-    """Largest entry of U+U - V^T conj(V) - 1 and of U V^T - V U^T.
+def _bogoliubov_defect(space: _BlockSpace, U, V) -> float:
+    """Largest grid entry of U+U - V^T conj(V) - 1 and of U V^T - V U^T.
 
     Both are identities of the Bogoliubov transformation (Braunstein, PRA
     71, 055801 (2005)) that the depth equations conserve, so the defect
-    measures integration error.  The point-group bases are real, so
-    conjugation and transposition act block by block and the defect is
-    taken on the weight-absorbed blocks as they are.
+    measures integration error.  The bases of ``space`` are real, so
+    conjugation and transposition act block by block; both residuals are
+    formed on the weight-absorbed blocks and read on the grid with
+    ``spread_max_abs``, so the figure does not depend on the block basis.
     """
-    worst = 0.0
+    identity, symmetric = [], []
     for u, v in zip(U, V):
         d = u.conj().T @ u - v.T @ v.conj()
         np.fill_diagonal(d, np.diagonal(d) - 1.0)
+        identity.append(d)
         uvt = u @ v.T
-        worst = max(worst, float(np.max(np.abs(d))), float(np.max(np.abs(uvt - uvt.T))))
-    return worst
+        symmetric.append(uvt - uvt.T)
+    return max(space.spread_max_abs(identity), space.spread_max_abs(symmetric))
 
 
 def solve_UV_ode(
@@ -904,7 +907,8 @@ def solve_UV_ode(
     ``steps``; it remains only because the depth-17 benchmark pins
     ``steps=64``.  ``info["blocks"]`` lists the block sizes; ``forward`` and
     ``conjugate`` hold the U and V blocks of the workspace's block space.
-    ``constraint_defect`` is the Bogoliubov identity defect of the result.
+    ``constraint_defect`` is the largest grid entry of the Bogoliubov
+    identity defect of the result.
     """
     if steps is not None and steps < 64:
         raise ValueError("steps must be >= 64")
@@ -919,7 +923,7 @@ def solve_UV_ode(
     return BogoliubovSolution(
         forward=BlockKernel(grid, space, U),
         conjugate=BlockKernel(grid, space, V),
-        constraint_defect=_bogoliubov_defect(U, V),
+        constraint_defect=_bogoliubov_defect(space, U, V),
         info=info,
     )
 
@@ -1060,18 +1064,16 @@ def ab_consistency_defect(kern: FieldKernels, grid: ModeGrid) -> float:
 # thin-crystal matrix functions (independent route to the kernel sums)
 
 
-def hyperbolic_matrix_uv(kern: FieldKernels, grid: ModeGrid, length: float | None = None):
+def hyperbolic_matrix_uv(kern: FieldKernels, grid: ModeGrid):
     """Matrix cosh/sinh of half the depth-integrated kernel magnitude.
 
     Returns weight-absorbed real symmetric matrices on every mode of the
     grid; their difference of squares is the identity to rounding error.
     """
-    return hyperbolic_uv_subblock(kern, grid, np.arange(grid.size), length)
+    return hyperbolic_uv_subblock(kern, grid, np.arange(grid.size))
 
 
-def hyperbolic_uv_subblock(
-    kern: FieldKernels, grid: ModeGrid, indices: np.ndarray, length: float | None = None
-):
+def hyperbolic_uv_subblock(kern: FieldKernels, grid: ModeGrid, indices: np.ndarray):
     """cosh/sinh sub-blocks on selected modes of any tensor grid.
 
     The grid matrix is a Kronecker product of per-axis factors, so its
@@ -1079,11 +1081,10 @@ def hyperbolic_uv_subblock(
     Comput. Appl. Math. 123, 85 (2000)); only the requested rows of the
     eigenvector matrix are formed, never the full grid matrix.
     """
-    if length is None:
-        length = kern.cfg.crystal.length
     # half the depth-integrated magnitude: the omega factor carries L / 2
     mx, my, mw = _magnitude_factors(kern, grid)
-    (lx, qx), (ly, qy), (lw, qw) = (np.linalg.eigh(f) for f in (mx, my, 0.5 * length * mw))
+    half_length = 0.5 * kern.cfg.crystal.length
+    (lx, qx), (ly, qy), (lw, qw) = (np.linalg.eigh(f) for f in (mx, my, half_length * mw))
     evals = np.einsum("i,j,k->ijk", lx, ly, lw).ravel()
     ix, iy, iw = np.unravel_index(indices, grid.shape)
     rows = np.einsum("ai,aj,ak->aijk", qx[ix], qy[iy], qw[iw]).reshape(ix.size, -1)

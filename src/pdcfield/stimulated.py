@@ -128,33 +128,17 @@ def idler_modulation(kappa, beta):
 
 
 def efficiency_f(a, beta):
-    """Frequency-conversion efficiency versus the mismatch parameter.
+    """Frequency-conversion efficiency versus the mismatch parameter: the
+    squared modulus of ``idler_modulation``, whose direct form does not
+    cancel near the series crossover.
 
     Non-negative, peaks near a = -6*beta/(6 + beta^2) and falls off like a
     squared sinc for large |a|.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    a = np.asarray(a, dtype=float)
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    out = np.empty(a.shape, dtype=float)
-    big = np.abs(a) >= SERIES_CROSSOVER
-    x = a[big]
-    out[big] = (
-        beta**2 / x**2
-        + 2.0 * (x - beta) * beta * np.sin(x) / x**3
-        + 4.0 * (x - beta) ** 2 * np.sin(0.5 * x) ** 2 / x**4
-    )
-    x = a[~big]
-    out[~big] = (
-        (1.0 + beta**2 / 4.0)
-        - (beta / 6.0) * x
-        - (1.0 / 12.0 + beta**2 / 72.0) * x**2
-        + (beta / 90.0) * x**3
-        + (1.0 / 360.0 + beta**2 / 2880.0) * x**4
-    )
-    return float(out[0]) if scalar else out
+    f = np.abs(idler_modulation(a, beta)) ** 2
+    return float(f) if f.ndim == 0 else f
 
 
 def idler_kappa(kern: FieldKernels, K):

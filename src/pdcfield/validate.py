@@ -9,8 +9,10 @@ configuration.  Each check returns a CheckResult; `run_validation`
 collects the standard table.
 
 Each kernel pair goes through one depth solve per `run_validation` call,
-stays in point-group block form and is freed after its checks:
-`check_bogoliubov_constraint` (gain 0.2) feeds `check_series_vs_ode`,
+through the public `oracle.solve_UV_ode` (the series through
+`oracle.series_UV`), stays in point-group block form and is freed after
+its checks: `check_bogoliubov_constraint` (gain 0.2) feeds
+`check_series_vs_ode` its solution and workspace,
 `check_squeezed_kernels` (gain 0.3) feeds `check_uv_product_symmetry`, and
 the solve is timed in the first row.
 """
@@ -272,34 +274,37 @@ def check_diamond_algebra(cfg: ExperimentConfig) -> CheckResult:
 def check_bogoliubov_constraint(
     squeezing: float = 0.2, k_count: int = 17, omega_count: int = 9
 ):
-    """Bogoliubov identity defect of the Taylor recurrence, whose term count
-    comes from its proven tail.  Returns the check plus the solution blocks
-    and workspace for reuse."""
+    """Bogoliubov identity defect of the default depth solve, the Taylor
+    recurrence whose term count comes from its proven tail.  Returns the
+    check plus the solution and workspace for reuse."""
     t0 = time.perf_counter()
     cfg = thin_reference_config(squeezing)
+    kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, k_count, omega_count)
-    workspace = oracle.GridWorkspace(FieldKernels(cfg), grid)
-    [(u_blocks, v_blocks)], info = oracle._taylor_blocks(workspace)
+    workspace = oracle.GridWorkspace(kern, grid)
+    sol = oracle.solve_UV_ode(kern, grid, workspace=workspace)
+    info = sol.info
     res = _result(
         f"Bogoliubov constraint (gain {squeezing}, grid "
         f"{k_count}x{k_count}x{omega_count})",
-        oracle._bogoliubov_defect(u_blocks, v_blocks),
+        sol.constraint_defect,
         1e-6,
         t0,
         note=f"Taylor {info['terms']} terms, tail bound {info['error_bound']:.1e} "
              f"(tol {info['tolerance']:g})",
     )
-    return res, (u_blocks, v_blocks), workspace
+    return res, sol, workspace
 
 
-def check_series_vs_ode(uv_blocks, workspace) -> CheckResult:
-    """Order-4 series against the blocks of `check_bogoliubov_constraint`; the
+def check_series_vs_ode(sol: oracle.BogoliubovSolution, workspace) -> CheckResult:
+    """Order-4 series against the solution of `check_bogoliubov_constraint`; the
     defect is the largest entry difference of the weight-absorbed kernels (the
     natural dimensionless scale, on which the forward kernel is near identity)."""
     t0 = time.perf_counter()
-    su, sv = oracle._series_blocks(workspace, order=4, z_nodes=9)
-    defect = max(workspace.space.spread_max_abs([a - b for a, b in zip(series, solved)])
-                 for series, solved in zip((su, sv), uv_blocks))
+    series = oracle.series_UV(workspace.kern, workspace.grid, order=4, z_nodes=9,
+                              workspace=workspace)
+    defect = max(workspace.space.spread_max_abs([a - b for a, b in zip(sk.blocks, dk.blocks)])
+                 for sk, dk in zip(series, (sol.forward, sol.conjugate)))
     return _result("iterated-integral series vs depth integration", defect, 1e-5, t0)
 
 
@@ -554,9 +559,9 @@ def run_validation(cfg: ExperimentConfig, full: bool = False) -> list[CheckResul
         check_pair_contraction(),
         check_diamond_algebra(cfg),
     ]
-    res, uv_blocks, workspace = check_bogoliubov_constraint(0.2, 17 if full else 9, 9)
-    results += [res, check_series_vs_ode(uv_blocks, workspace)]
-    del uv_blocks, workspace
+    res, solution, workspace = check_bogoliubov_constraint(0.2, 17 if full else 9, 9)
+    results += [res, check_series_vs_ode(solution, workspace)]
+    del solution, workspace
     results.append(check_hyperbolic_sums())
     res, solution = check_squeezed_kernels()
     results += [res, check_uv_product_symmetry(solution)]

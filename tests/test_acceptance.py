@@ -35,10 +35,10 @@ def test_criterion_1_bogoliubov_constraint():
     # depth-integrated kernels on the default-size grid: constraint defect
     # below 1e-6, order-4 series within 1e-5, within the runtime budget
     t0 = time.perf_counter()
-    res, uv_blocks, workspace = check_bogoliubov_constraint(
+    res, sol, workspace = check_bogoliubov_constraint(
         squeezing=0.2, k_count=17, omega_count=9
     )
-    series_res = check_series_vs_ode(uv_blocks, workspace)
+    series_res = check_series_vs_ode(sol, workspace)
     elapsed = time.perf_counter() - t0
     ok = res.passed and series_res.passed and elapsed < 60.0
     _report(

@@ -127,6 +127,15 @@ def dense_pair_kernel(kern, grid, z):
     return ref * np.sqrt(np.outer(grid.weight, grid.weight))
 
 
+def dense_pair_magnitude(kern, grid):
+    """Weight-absorbed pair-kernel magnitude on every pair of grid modes,
+    straight from ``FieldKernels``: the kernel without its constant pair
+    phase and its depth phase."""
+    K, om = grid.K, grid.omega
+    ref = kern.bilinear_magnitude(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
+    return ref * np.sqrt(np.outer(grid.weight, grid.weight))
+
+
 def broadcast_mismatch(ops):
     """The mismatch tables broadcast to every pair of grid modes."""
     dx, dy, dw = ops.mismatch
@@ -189,8 +198,9 @@ def test_table_max_mismatch_equals_dense():
 
 
 def test_taylor_coefficients_match_dense_projection():
-    # reference: the complex dense kernel, straight from FieldKernels,
-    # expanded in z and projected term by term
+    # reference: the dense kernel magnitude, straight from FieldKernels,
+    # expanded in z and projected term by term; the provider keeps the
+    # terms without the phase pair_phase i^k
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 8)
@@ -198,10 +208,10 @@ def test_taylor_coefficients_match_dense_projection():
     assert len(ws.provider.pieces) == 1
     K, om = grid.K, grid.omega
     delta = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
-    term = dense_pair_kernel(kern, grid, 0.0)
+    term = dense_pair_magnitude(kern, grid)
     for k, coeff in enumerate(ws.provider.coeffs):
         if k:
-            term = term * (1j * delta / k)
+            term = term * (delta / k)
         ref = dense_blocks(ws.space, term)
         scale = max(float(np.max(np.abs(r))) for r in ref)
         for got, want in zip(coeff, ref):
@@ -221,9 +231,9 @@ def test_taylor_coefficients_match_dense_projection_on_table_cases():
         delta = broadcast_mismatch(ws.ops)
         exact = kern.phase_mismatch(K[:, None, :], K[None, :, :], om[:, None], om[None, :])
         assert np.max(np.abs(delta - exact)) <= 1e-14 * np.max(np.abs(exact))
-        magnitude = dense_pair_kernel(kern, grid, 0.0)
+        magnitude = dense_pair_magnitude(kern, grid)
         for k, coeff in enumerate(ws.provider.coeffs):
-            ref = dense_blocks(ws.space, magnitude * (1j**k / math.factorial(k)) * delta**k)
+            ref = dense_blocks(ws.space, magnitude / math.factorial(k) * delta**k)
             scale = max(float(np.max(np.abs(r))) for r in ref)
             for got, want in zip(coeff, ref, strict=True):
                 assert np.max(np.abs(got - want)) <= 1e-15 * scale
@@ -418,7 +428,7 @@ def test_solver_zero_gain():
     cfg = thin_reference_config(0.0)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
-    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    sol = oracle.solve_UV_ode(kern, grid)
     uw = sol.forward.to_weighted().matrix
     assert np.allclose(uw, np.eye(grid.size))
     assert all(np.all(v == 0.0) for v in sol.conjugate.blocks)
@@ -502,7 +512,7 @@ def test_workspace_must_match_grid_and_config():
     for ws, kern_called in ((oracle.GridWorkspace(kern, wide), kern),
                             (oracle.GridWorkspace(kern, grid), other)):
         with pytest.raises(oracle.GridMismatchError):
-            oracle.solve_UV_ode(kern_called, grid, steps=64, workspace=ws)
+            oracle.solve_UV_ode(kern_called, grid, workspace=ws)
         with pytest.raises(oracle.GridMismatchError):
             oracle.series_UV(kern_called, grid, workspace=ws)
     ws = oracle.GridWorkspace(kern, grid)
@@ -548,8 +558,8 @@ def test_piecewise_tail_bound_is_honest(monkeypatch, case, ref_tol):
     [(U, V)], info = oracle._taylor_blocks(ws)
     assert info["steps"] >= 2
     # the 1024-step RK4 stands on its own step-doubling estimate
-    U_fine, V_fine = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 1024)
-    U_half, V_half = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 512)
+    U_fine, V_fine = _rk4_textbook(ws, 1024)
+    U_half, V_half = _rk4_textbook(ws, 512)
     estimate = _max_diff(U_fine + V_fine, U_half + V_half) / 15.0
     assert _max_diff(U + V, U_fine + V_fine) <= info["error_bound"] + 2.0 * estimate
     monkeypatch.setattr(oracle, "DEPTH_TOL", ref_tol)
@@ -563,8 +573,8 @@ def test_taylor_recurrence_matches_fine_rk4():
     cfg = thin_reference_config(1.0)
     ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8))
     [(U, V)], info = oracle._taylor_blocks(ws)
-    U_fine, V_fine = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 1024)
-    U_half, V_half = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 512)
+    U_fine, V_fine = _rk4_textbook(ws, 1024)
+    U_half, V_half = _rk4_textbook(ws, 512)
     estimate = _max_diff(U_fine + V_fine, U_half + V_half) / 15.0
     assert estimate > 1e-14
     assert _max_diff(U + V, U_fine + V_fine) <= info["error_bound"] + 2.0 * estimate
@@ -578,8 +588,8 @@ def test_taylor_recurrence_matches_rk4_property(gain, fraction):
                               fraction * cfg.crystal.length)
     assert len(ws.provider.pieces) == 1
     [(U, V)], info = oracle._taylor_blocks(ws)
-    U_64, V_64 = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
-    U_32, V_32 = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 32)
+    U_64, V_64 = _rk4_textbook(ws, 64)
+    U_32, V_32 = _rk4_textbook(ws, 32)
     estimate = _max_diff(U_64 + V_64, U_32 + V_32) / 15.0
     assert _max_diff(U + V, U_64 + V_64) <= info["error_bound"] + 2.0 * estimate
 
@@ -599,11 +609,11 @@ def test_fixed_steps_bit_identical_to_rk4():
 
 def test_identity_defect_at_gain_one():
     # U+U - V+V - 1, the quantity checked before, is 2 max|Im V+V|: a physical
-    # value that fails the 1e-6 gate at gain 1.0 however fine the steps
+    # value that fails the 1e-6 gate at gain 1.0 however accurate the solve
     cfg = thin_reference_config(1.0)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 9)
-    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    sol = oracle.solve_UV_ode(kern, grid)
     u = sol.forward.to_weighted().matrix
     v = sol.conjugate.to_weighted().matrix
     old = u.conj().T @ u - v.conj().T @ v - np.eye(grid.size)
@@ -648,17 +658,19 @@ def test_identity_defect_flags_broken_integrator():
     U, V = _rk4_textbook(ws, 64)
     U_pkg, V_pkg = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
     assert max(float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_pkg + V_pkg)) < 1e-12
-    assert oracle._bogoliubov_defect(U, V) < 1e-10
-    assert oracle._bogoliubov_defect(*_rk4_textbook(ws, 64, drop_last_stage=True)) > 1e-6
+    assert oracle._bogoliubov_defect(ws.space, U, V) < 1e-10
+    broken = _rk4_textbook(ws, 64, drop_last_stage=True)
+    assert oracle._bogoliubov_defect(ws.space, *broken) > 1e-6
 
 
 def _taylor_textbook(ws, terms, drop_u_newest=False):
     """Textbook Taylor recurrence of dU = V H / 2, dV = U conj(H) / 2 with
-    H(z) = sum_k c_k z^k, the provider's complex blocks: (n+1) u_(n+1) =
-    sum_k v_(n-k) c_k / 2 and (n+1) v_(n+1) = sum_k u_(n-k) conj(c_k) / 2,
-    summed at z = L.  ``drop_u_newest`` leaves out the k = 0 term of the U
-    equation."""
-    coeffs = ws.provider.coeffs
+    H(z) = sum_k c_k z^k, c_k = pair_phase i^k R_k from the provider's
+    unphased blocks R_k: (n+1) u_(n+1) = sum_k v_(n-k) c_k / 2 and (n+1)
+    v_(n+1) = sum_k u_(n-k) conj(c_k) / 2, summed at z = L.
+    ``drop_u_newest`` leaves out the k = 0 term of the U equation."""
+    coeffs = [[ws.kern.pair_phase * 1j**k * blk for blk in terms]
+              for k, terms in enumerate(ws.provider.coeffs)]
     U, V = [], []
     for s, d in enumerate(oracle._block_dims(ws.space)):
         zero = np.zeros((d, d), dtype=complex)
@@ -679,8 +691,9 @@ def test_identity_defect_flags_dropped_convolution_term():
     [(U_pkg, V_pkg)], info = oracle._taylor_blocks(ws)
     U, V = _taylor_textbook(ws, info["terms"])
     assert _max_diff(U + V, U_pkg + V_pkg) < 1e-12
-    assert oracle._bogoliubov_defect(U, V) < 1e-10
-    assert oracle._bogoliubov_defect(*_taylor_textbook(ws, info["terms"], True)) > 1e-6
+    assert oracle._bogoliubov_defect(ws.space, U, V) < 1e-10
+    broken = _taylor_textbook(ws, info["terms"], True)
+    assert oracle._bogoliubov_defect(ws.space, *broken) > 1e-6
 
 
 def plain_spaces(monkeypatch):
@@ -693,9 +706,9 @@ def test_symmetry_engine_equals_plain(monkeypatch):
     cfg = thin_reference_config(0.35)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 8)
-    sym = oracle.solve_UV_ode(kern, grid, steps=64)
+    sym = oracle.solve_UV_ode(kern, grid)
     plain_spaces(monkeypatch)
-    plain = oracle.solve_UV_ode(kern, grid, steps=64)
+    plain = oracle.solve_UV_ode(kern, grid)
     assert plain.info["blocks"] == [grid.size]
     assert len(sym.info["blocks"]) > 1
     sym_u, sym_v = sym.forward.to_plain().matrix, sym.conjugate.to_plain().matrix
@@ -704,8 +717,9 @@ def test_symmetry_engine_equals_plain(monkeypatch):
     scale_v = np.max(np.abs(plain_v))
     assert np.max(np.abs(sym_u - plain_u)) < 1e-12 * scale_u
     assert np.max(np.abs(sym_v - plain_v)) < 1e-12 * scale_v
-    # the identity defect is integration error at rounding level, which the
-    # two evaluation orders share only to rounding
+    # the identity defect is solve error near rounding level, read on the
+    # grid in both spaces, which the two evaluation orders share only to
+    # rounding
     assert sym.constraint_defect == pytest.approx(plain.constraint_defect, rel=0, abs=1e-13)
 
 
@@ -850,7 +864,7 @@ def test_constraint_along_trajectory():
     L = cfg.crystal.length
     for frac in np.linspace(1.0 / 8.0, 1.0, 8):
         ws = oracle.GridWorkspace(kern, grid, length=frac * L)
-        sol = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
+        sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
         assert sol.constraint_defect < 1e-6
 
 
@@ -886,7 +900,7 @@ def test_series_vs_ode():
     cfg = thin_reference_config(0.2)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 9)
-    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    sol = oracle.solve_UV_ode(kern, grid)
     u4, v4 = oracle.series_UV(kern, grid, order=4)
     du = np.max(np.abs(u4.to_weighted().matrix - sol.forward.to_weighted().matrix))
     dv = np.max(np.abs(v4.to_weighted().matrix - sol.conjugate.to_weighted().matrix))
@@ -940,7 +954,7 @@ def test_build_ab_zero_gain():
     cfg = thin_reference_config(0.0)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 8, 8)
-    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    sol = oracle.solve_UV_ode(kern, grid)
     a_mat, b_mat = oracle.build_AB(sol.forward, sol.conjugate)
     assert np.allclose(a_mat.to_weighted().matrix, np.eye(grid.size))
     assert all(np.all(b == 0.0) for b in b_mat.blocks)
@@ -1026,7 +1040,7 @@ def test_squeezed_kernel_properties():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 9)
-    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    sol = oracle.solve_UV_ode(kern, grid)
     a_mat, _ = oracle.build_AB(sol.forward, sol.conjugate)
     aw = a_mat.to_weighted().matrix
     assert np.max(np.abs(aw - aw.conj().T)) < 1e-10 * np.max(np.abs(aw))
@@ -1062,7 +1076,7 @@ def test_uv_product_symmetry_reported():
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 9)
-    sol = oracle.solve_UV_ode(kern, grid, steps=64)
+    sol = oracle.solve_UV_ode(kern, grid)
     uv = sol.forward.to_weighted().matrix @ sol.conjugate.to_weighted().matrix
     assert np.max(np.abs(uv - uv.T)) / np.max(np.abs(uv)) < 1e-3
 

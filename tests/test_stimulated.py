@@ -214,6 +214,17 @@ def test_efficiency_series_seam():
         ) < 1e-8
 
 
+def test_efficiency_matches_series_near_crossover():
+    # just outside the series range the closed form of f cancels (9e-10
+    # relative at beta 2 on these points); the squared idler modulation
+    # does not
+    band = np.linspace(1e-3, 5e-3, 401)[1:]
+    a = np.concatenate([band, -band])
+    for beta in (0.4, 2.0):
+        series = _f_series(a, beta)
+        assert np.max(np.abs(efficiency_f(a, beta) - series) / series) < 1e-11
+
+
 def test_efficiency_rejects_negative_beta():
     with pytest.raises(ValueError):
         efficiency_f(0.1, -0.5)
