@@ -2,8 +2,10 @@
 
 All quantities are stored internally in SI units (m, s, rad/s).  Config
 files are INI-style documents with sections [pump], [seed], [crystal],
-[detector] and an optional [run] section; every dimensioned value must
-carry an explicit unit suffix (e.g. ``waist = 0.2 mm``).
+[detector] and an optional free-form [run] section; every dimensioned
+value must carry an explicit unit suffix (e.g. ``waist = 0.2 mm``).  An
+unknown section, or an unknown key in any section but [run], is an
+error, so a misspelled key is never silently ignored.
 """
 
 from __future__ import annotations
@@ -99,8 +101,23 @@ class _Quantity:
         return self.in_units(_ANGFREQ_UNITS, "bandwidth")
 
 
+# The keys each section accepts; [run] is free-form (None)
+_SECTION_KEYS = {
+    "pump": {"wavelength", "degenerate_wavelength", "frequency", "bandwidth", "waist",
+             "amplitude", "phase"},
+    "seed": {"photons", "amplitude", "waist", "bandwidth", "eta", "frequency", "phase",
+             "shift_x", "shift_y", "kx", "ky", "g_factor"},
+    "crystal": {"length", "cross_section", "refractive_index", "pdc_angle", "squeezing"},
+    "detector": {"focal_length", "aperture", "bandwidth"},
+    "run": None,
+}
+
+
 def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
-    """Parse an INI-like document, keeping line numbers for error messages."""
+    """Parse an INI-like document, keeping line numbers for error messages.
+
+    An unknown section or an unknown key of a known section raises
+    ConfigError naming it and its line."""
     sections: dict[str, dict[str, _Quantity]] = {}
     current: dict[str, _Quantity] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,6 +130,12 @@ def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
             name = line[1:-1].strip().lower()
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
+            if name not in _SECTION_KEYS:
+                raise ConfigError(
+                    f"line {lineno}: unknown section [{name}] "
+                    f"(expected one of {', '.join(f'[{n}]' for n in _SECTION_KEYS)})"
+                )
+            allowed = _SECTION_KEYS[name]
             current = sections.setdefault(name, {})
             continue
         if "=" not in line:
@@ -124,6 +147,11 @@ def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
         rhs = rhs.strip().strip('"').strip("'").strip()
         if not key:
             raise ConfigError(f"line {lineno}: missing key before '='")
+        if allowed is not None and key not in allowed:
+            raise ConfigError(
+                f"line {lineno}: unknown key '{key}' in [{name}] "
+                f"(expected one of {', '.join(sorted(allowed))})"
+            )
         if not rhs:
             raise ConfigError(f"line {lineno}: missing value for '{key}'")
         parts = rhs.split(None, 1)

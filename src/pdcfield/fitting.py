@@ -161,7 +161,7 @@ class FitResult:
     errors: dict                # Gauss-Newton standard errors
     residual_norm: float        # sqrt(sum of weighted squared residuals)
     converged: bool
-    status: str                 # 'converged', 'max_iterations', 'not_identifiable'
+    status: str                 # 'converged', 'max_iterations', 'not_identifiable', 'stalled'
     iterations: int
 
 
@@ -182,8 +182,10 @@ def fit_parameters(
     analytically; ``seed_waist`` and ``pdc_angle`` columns are central
     differences with a 1e-4 relative step, each side a new basis.  ``free``
     names the parameters to vary; everything else is pinned at the config
-    (or ``fixed``) values.  Raises ValueError if the model counts are not
-    finite.
+    (or ``fixed``) values.  ``status`` is 'converged' (and ``converged``
+    True) only when an accepted step's relative size falls below ``XTOL``;
+    'stalled' when 25 damping increases find no step that lowers the cost.
+    Raises ValueError if the model counts are not finite.
     """
     free = tuple(free)
     if not free:
@@ -298,8 +300,10 @@ def fit_parameters(
                 break
             lam *= 10.0
         if not accepted:
-            status = "converged"  # damping exhausted at a local optimum
-            converged = True
+            # damping ran out before the step size met XTOL: no step lowered
+            # the cost, which is not convergence
+            status = "stalled"
+            break
         # iteratively reweighted: refresh the shot-noise weights at the
         # accepted model before the next pass
         weights = 1.0 / np.maximum(mu, 1.0)

@@ -16,11 +16,11 @@ The grid pair kernel (``GridOperators``) is sampled from the ``FieldKernels``
 methods, never written out again here, into small per-axis tables: on a
 tensor grid its magnitude is a product and its phase mismatch a sum of an
 x, a y and an omega term, so a grid matrix is formed only by broadcasting
-the tables.  The depth provider writes the kernel blocks at a requested
-depth into buffers its caller owns, and forms them from the tables one
-frequency pair at a time: there the kernel is a Kronecker product of an x
-and a y table, so each block is built from the two tables transformed on
-their axis's mirror bases, and no grid-sized array is formed (Van Loan,
+the tables.  The depth provider returns the kernel blocks at a requested
+depth as new arrays, formed from the tables one frequency pair at a time:
+there the kernel is a Kronecker product of an x and a y table, so each
+block is built from the two tables transformed on their axis's mirror
+bases, and no grid-sized array is formed (Van Loan,
 J. Comput. Appl. Math. 123, 85 (2000)).  It expands H(z) about the start
 z_j of each piece of [0, L], the pieces short enough that max |Delta|
 times their length is at most 1.5, and keeps the blocks of each term
@@ -34,8 +34,9 @@ grids need one piece.  Cauchy's scalar majorant, scaled by the norm at
 each piece start, fixes each term count before any product; the tails,
 carried through the later pieces' majorant growth, add up to
 ``error_bound``, a proven bound on the truncation, at most ``DEPTH_TOL``.
-An explicit ``steps=`` runs a fixed-step RK4 (``_rk4_blocks``) instead,
-kept only because the depth-17 benchmark pins ``steps=64``.  The
+An explicit ``steps=`` runs the classical four-stage RK4 on the
+provider's blocks (``_rk4_blocks``) instead, kept only because the
+depth-17 benchmark pins ``steps=64``.  The
 ``constraint_defect`` of a solve checks the identities of the
 Bogoliubov transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which
 the depth equations conserve; it therefore measures the solve's error.
@@ -575,19 +576,13 @@ class _TaylorProvider:
             ])
         self.coeffs = self.pieces[0]
 
-    def blocks(self, z: float, out) -> None:
-        """Write the blocks of H(z) into ``out``: Horner's rule in i (z -
-        z_j) on the piece of z, times pair_phase."""
+    def blocks(self, z: float) -> list:
+        """The blocks of H(z), as new arrays: Horner's rule in i (z - z_j) on
+        the piece of z, times pair_phase."""
         last = len(self.pieces) - 1
         j = min(int(z / self.length), last) if last else 0
         step = 1j * (z - j * self.length)
-        coeffs = self.pieces[j]
-        for b, o in enumerate(out):
-            np.copyto(o, coeffs[-1][b])
-            for ck in reversed(coeffs[:-1]):
-                o *= step
-                o += ck[b]
-            o *= self.phase
+        return [_horner(terms[::-1], step) * self.phase for terms in zip(*self.pieces[j])]
 
 
 class GridWorkspace:
@@ -699,7 +694,7 @@ def _taylor_term_count(norms, target):
 
 def _horner(hist, x):
     """sum_n hist[-1-n] x^n, for coefficients stored newest first."""
-    acc = hist[0].copy()
+    acc = hist[0].astype(complex)
     for coef in hist[1:]:
         acc *= x
         acc += coef
@@ -796,74 +791,27 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
     return values, info
 
 
-def _rk4_blocks(provider, space: _BlockSpace, length: float, steps: int):
-    """Classical fourth-order steps of dU = (1/2) V H dz, dV = (1/2) U H* dz.
-
-    Works blockwise with preallocated buffers; the 1/2 of the equations is
-    folded into the stage constants so provider blocks are used as-is.  The
-    kernel blocks at the start, middle and end of a step live in three
-    buffers owned here; the end buffer becomes the next step's start.
-    """
-    dims = _block_dims(space)
+def _rk4_blocks(workspace: GridWorkspace, steps: int):
+    """Classical fourth-order steps of dU = (1/2) V H dz, dV = (1/2) U H* dz,
+    block by block on the provider's blocks.  Each stage slope is twice the
+    derivative, so the 1/2 of the equations sits in the h/4, h/2 and h/12
+    factors."""
+    provider = workspace.provider
+    dims = _block_dims(workspace.space)
     U = [np.eye(d, dtype=complex) for d in dims]
     V = [np.zeros((d, d), dtype=complex) for d in dims]
-    h = length / steps
-    buf = [
-        {name: np.empty((d, d), dtype=complex)
-         for name in ("tmp", "k1u", "k1v", "k2u", "k2v", "k3u", "k3v", "k4u", "k4v")}
-        for d in dims
-    ]
-    a_lo, a_mid, a_hi = ([np.empty((d, d), dtype=complex) for d in dims] for _ in range(3))
-
-    def conjed(blocks):
-        return [np.conj(arr) for arr in blocks]
-
-    provider.blocks(0.0, a_lo)
-    a_lo_c = conjed(a_lo)
+    h = workspace.length / steps
+    hi = provider.blocks(0.0)
     for n in range(steps):
         z = n * h
-        provider.blocks(z + 0.5 * h, a_mid)
-        a_mid_c = conjed(a_mid)
-        provider.blocks(z + h, a_hi)
-        a_hi_c = conjed(a_hi)
-        for s in range(space.nblocks):
-            u, v, b = U[s], V[s], buf[s]
-            tmp = b["tmp"]
-            # stage slopes carry twice the true derivative; the factors of
-            # 1/2 reappear in the h/4, h/2 and h/12 constants below
-            np.matmul(v, a_lo[s], out=b["k1u"])
-            np.matmul(u, a_lo_c[s], out=b["k1v"])
-            np.multiply(b["k1v"], 0.25 * h, out=tmp)
-            tmp += v
-            np.matmul(tmp, a_mid[s], out=b["k2u"])
-            np.multiply(b["k1u"], 0.25 * h, out=tmp)
-            tmp += u
-            np.matmul(tmp, a_mid_c[s], out=b["k2v"])
-            np.multiply(b["k2v"], 0.25 * h, out=tmp)
-            tmp += v
-            np.matmul(tmp, a_mid[s], out=b["k3u"])
-            np.multiply(b["k2u"], 0.25 * h, out=tmp)
-            tmp += u
-            np.matmul(tmp, a_mid_c[s], out=b["k3v"])
-            np.multiply(b["k3v"], 0.5 * h, out=tmp)
-            tmp += v
-            np.matmul(tmp, a_hi[s], out=b["k4u"])
-            np.multiply(b["k3u"], 0.5 * h, out=tmp)
-            tmp += u
-            np.matmul(tmp, a_hi_c[s], out=b["k4v"])
-            for k1, k2, k3, k4, target in (
-                ("k1u", "k2u", "k3u", "k4u", u),
-                ("k1v", "k2v", "k3v", "k4v", v),
-            ):
-                acc = b[k1]
-                b[k2] += b[k3]
-                b[k2] *= 2.0
-                acc += b[k2]
-                acc += b[k4]
-                acc *= h / 12.0
-                target += acc
-        a_lo, a_hi = a_hi, a_lo
-        a_lo_c = a_hi_c
+        lo, mid, hi = hi, provider.blocks(z + 0.5 * h), provider.blocks(z + h)
+        for s, (u, v) in enumerate(zip(U, V)):
+            k1u, k1v = v @ lo[s], u @ lo[s].conj()
+            k2u, k2v = (v + 0.25 * h * k1v) @ mid[s], (u + 0.25 * h * k1u) @ mid[s].conj()
+            k3u, k3v = (v + 0.25 * h * k2v) @ mid[s], (u + 0.25 * h * k2u) @ mid[s].conj()
+            k4u, k4v = (v + 0.5 * h * k3v) @ hi[s], (u + 0.5 * h * k3u) @ hi[s].conj()
+            U[s] = u + (h / 12.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
+            V[s] = v + (h / 12.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
     return U, V
 
 
@@ -917,7 +865,7 @@ def solve_UV_ode(
     if steps is None:
         [(U, V)], info = _taylor_blocks(workspace)
     else:
-        U, V = _rk4_blocks(workspace.provider, space, workspace.length, steps)
+        U, V = _rk4_blocks(workspace, steps)
         info = {"steps": steps}
     info["blocks"] = _block_dims(space)
     return BogoliubovSolution(
@@ -956,44 +904,35 @@ def series_UV(
 
 
 def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
-    space = workspace.space
     provider = workspace.provider
     zs = np.linspace(0.0, workspace.length, z_nodes)
     h = zs[1] - zs[0]
-    dims = _block_dims(space)
-    nb = space.nblocks
-    cur = [np.empty((d, d), dtype=complex) for d in dims]
+    dims = _block_dims(workspace.space)
 
     # running iterated integrals T_k(z); T_k integrates T_{k-1} against the
     # kernel (conjugated for odd k).  Each level is brought up to date at a
     # node before the next level's integrand is formed there.
-    levels = [
-        [np.zeros((d, d), dtype=complex) for d in dims] for _ in range(order)
-    ]
+    levels = [[np.zeros((d, d), dtype=complex) for d in dims] for _ in range(order)]
     # at the first node every level is zero, so only the first level has a
     # nonzero integrand there
-    provider.blocks(zs[0], cur)
-    prev_f = [[np.conj(c) for c in cur]] + [None] * (order - 1)
+    prev_f = [[np.conj(c) for c in provider.blocks(zs[0])]]
+    prev_f += [[0.0] * len(dims)] * (order - 1)
     for z in zs[1:]:
-        provider.blocks(z, cur)
+        cur = provider.blocks(z)
         conj = [np.conj(c) for c in cur]
-        for lvl in range(order):
+        for lvl, level in enumerate(levels):
             mats = conj if lvl % 2 == 0 else cur
-            f = mats if lvl == 0 else [levels[lvl - 1][s] @ mats[s] for s in range(nb)]
-            for s in range(nb):
-                if prev_f[lvl] is None:
-                    levels[lvl][s] += (0.5 * h) * f[s]
-                else:
-                    levels[lvl][s] += (0.5 * h) * (prev_f[lvl][s] + f[s])
+            f = mats if lvl == 0 else [t @ m for t, m in zip(levels[lvl - 1], mats)]
+            for t, p, g in zip(level, prev_f[lvl], f):
+                t += (0.5 * h) * (p + g)
             prev_f[lvl] = f
 
     u_blocks = [np.eye(d, dtype=complex) for d in dims]
     v_blocks = [np.zeros((d, d), dtype=complex) for d in dims]
-    for lvl in range(order):
-        coeff = 0.5 ** (lvl + 1)
+    for lvl, level in enumerate(levels):
         target = v_blocks if lvl % 2 == 0 else u_blocks
-        for s in range(nb):
-            target[s] += coeff * levels[lvl][s]
+        for t, blk in zip(target, level):
+            t += 0.5 ** (lvl + 1) * blk
     return u_blocks, v_blocks
 
 
@@ -1123,8 +1062,9 @@ def _fixed_rule(evaluate, rtol: float, what: str):
     return fine[()], err
 
 
-def oracle_zeta2(kern: FieldKernels, K1, omega1=None, rtol: float = 1e-9):
-    """Leading-order idler amplitude by direct depth quadrature.
+def oracle_zeta2(kern: FieldKernels, K1, rtol: float = 1e-9):
+    """Leading-order idler amplitude at the degenerate frequency by direct
+    depth quadrature.
 
     The transverse integral over the shared mode is done analytically (a
     complex Gaussian); the frequency and depth integrals run on a tensor
@@ -1137,8 +1077,7 @@ def oracle_zeta2(kern: FieldKernels, K1, omega1=None, rtol: float = 1e-9):
     """
     cfg, q = kern.cfg, kern.q
     p, s = cfg.pump, cfg.seed
-    if omega1 is None:
-        omega1 = q.omega_deg
+    omega1 = q.omega_deg
     K1 = np.asarray(K1, dtype=float)
     points = K1.reshape(-1, 2)
     shift = np.asarray(seed_shift(cfg, q), dtype=float)

@@ -193,8 +193,13 @@ def zeta2_tca(kern: FieldKernels, K, omega):
 def optimal_seed_geometry(kern: FieldKernels) -> dict:
     """Mismatch, seed tilt and output-plane offset of peak conversion.
 
-    ``x_peak`` is None when the emission is too close to collinear for the
-    peak offset to be real.
+    Returns ``a_peak``, the mismatch argument -6 beta / (6 + beta^2) at
+    which the conversion efficiency peaks (beta the config's
+    ``idler_beta``); ``k_shift_opt`` [1/m], the transverse seed wave
+    vector that puts the idler there, None where it is not real; and
+    ``x_peak`` [m], the output-plane offset of the peak, which a seed
+    ``g_factor`` of 1 aims at, None when the emission is too close to
+    collinear for it to be real.
     """
     q = kern.q
     beta = q.idler_beta

@@ -109,11 +109,12 @@ def narrowband_reference_config(squeezing: float = 0.2) -> ExperimentConfig:
 
 
 def numeric_pair_contraction(kern: FieldKernels, K1, K3, omega1, omega3,
-                             z1: float = 0.0, z2: float = 0.0,
-                             nk: int = 48, nw: int = 48):
+                             z1: float = 0.0, z2: float = 0.0):
     """Brute-force contraction of conj(pair kernel at z1) with the pair
-    kernel at z2 over the shared mode, by dense tensor quadrature."""
+    kernel at z2 over the shared mode, by dense tensor quadrature on 48
+    nodes per axis."""
     p = kern.cfg.pump
+    nk = nw = 48
     K1 = np.asarray(K1, float)
     K3 = np.asarray(K3, float)
     center_k = -0.5 * (K1 + K3)
@@ -173,8 +174,9 @@ def check_prefactor_identity(cfg: ExperimentConfig) -> CheckResult:
     )
 
 
-def check_mismatch_symmetry(cfg: ExperimentConfig, samples: int = 64) -> CheckResult:
+def check_mismatch_symmetry(cfg: ExperimentConfig) -> CheckResult:
     t0 = time.perf_counter()
+    samples = 64
     kern = FieldKernels(cfg)
     q = kern.q
     rng = np.random.default_rng(7)
@@ -192,8 +194,9 @@ def check_mismatch_symmetry(cfg: ExperimentConfig, samples: int = 64) -> CheckRe
     return _result("phase mismatch swap symmetry", value, 1e-12, t0, note)
 
 
-def check_kernel_magnitude(cfg: ExperimentConfig, samples: int = 32) -> CheckResult:
+def check_kernel_magnitude(cfg: ExperimentConfig) -> CheckResult:
     t0 = time.perf_counter()
+    samples = 32
     kern = FieldKernels(cfg)
     q = kern.q
     rng = np.random.default_rng(11)
@@ -212,9 +215,11 @@ def check_kernel_magnitude(cfg: ExperimentConfig, samples: int = 32) -> CheckRes
     return _result("pair kernel |.| depth-independence and symmetry", worst, 1e-12, t0)
 
 
-def check_pair_contraction(n_points: int = 3) -> CheckResult:
-    """Numeric conj(H) <> H at zero depth against the order-2 closed form."""
+def check_pair_contraction() -> CheckResult:
+    """Numeric conj(H) <> H at zero depth against the order-2 closed form,
+    at three random points."""
     t0 = time.perf_counter()
+    n_points = 3
     cfg = narrowband_reference_config()
     kern = FieldKernels(cfg)
     q = kern.q
@@ -308,7 +313,7 @@ def check_series_vs_ode(sol: oracle.BogoliubovSolution, workspace) -> CheckResul
     return _result("iterated-integral series vs depth integration", defect, 1e-5, t0)
 
 
-def check_hyperbolic_sums(squeezing: float = 0.2) -> CheckResult:
+def check_hyperbolic_sums() -> CheckResult:
     """Thin-crystal kernel sums against matrix cosh/sinh on a grid.
 
     The matrix functions are trustworthy only where every contraction in
@@ -316,7 +321,7 @@ def check_hyperbolic_sums(squeezing: float = 0.2) -> CheckResult:
     an interior block of modes with full coverage margins.
     """
     t0 = time.perf_counter()
-    cfg = narrowband_reference_config(squeezing)
+    cfg = narrowband_reference_config()
     kern = FieldKernels(cfg)
     q = kern.q
     p = cfg.pump

@@ -130,6 +130,14 @@ def test_missing_config_usage_error(tmp_path):
     assert code == 2
 
 
+def test_unknown_config_key_usage_error(tmp_path, config_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(open(config_path).read().replace("pdc_angle", "pdc_angel"))
+    code = main(["--outdir", str(tmp_path), "validate", "--config", str(bad), "--no-svg"])
+    assert code == 2
+    assert "unknown key 'pdc_angel' in [crystal]" in capsys.readouterr().err
+
+
 def test_efficiency_csv(tmp_path):
     code = main([
         "--outdir", str(tmp_path), "efficiency",

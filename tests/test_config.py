@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -77,6 +78,17 @@ def test_duplicate_key_rejected():
     bad = DOC + "\n[pump]\nwaist = 1 mm\n"
     with pytest.raises(ConfigError, match="duplicate"):
         load_config(bad)
+
+
+@pytest.mark.parametrize("old, new, line, name", [
+    ("pdc_angle = 10 mrad", "refractive_indx = 1.6", 17, "'refractive_indx' in [crystal]"),
+    ("[detector]", "[detektor]", 20, "[detektor]"),
+    ("eta = 1", "eta = 1\nbandwith = 5e11 rad/s", 12, "'bandwith' in [seed]"),
+], ids=["crystal-key", "section", "seed-key"])
+def test_unknown_key_or_section_rejected(old, new, line, name):
+    # a misspelled key or section used to be ignored, leaving its default
+    with pytest.raises(ConfigError, match=rf"^line {line}: unknown .*{re.escape(name)}"):
+        load_config(DOC.replace(old, new))
 
 
 def test_derived_wavenumber():

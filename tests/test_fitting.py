@@ -202,6 +202,21 @@ def test_max_iterations_status(model, axes):
     assert np.isfinite(result.residual_norm)
 
 
+def test_exhausted_damping_reports_stalled(model, axes, monkeypatch):
+    # with the analytic Jacobian negated and shrunk, every damped step points
+    # uphill and moves the parameters, so no step is ever accepted
+    x, y = axes
+    img = synthesize_image(model, x, y, noise="none", exposure=50.0)
+    derivatives = SeparableBasis.derivatives
+    monkeypatch.setattr(SeparableBasis, "derivatives", lambda self, photons, squeezing: tuple(
+        -1e-12 * d for d in derivatives(self, photons, squeezing)))
+    result = fit_parameters(model, img, init={"seed_photons": 2.0, "squeezing": 0.5})
+    assert result.status == "stalled"
+    assert not result.converged
+    assert result.iterations == 1
+    assert result.parameters == {"seed_photons": 2.0, "squeezing": 0.5}
+
+
 def test_separate_exposures_consistent(combined_cfg, axes):
     # gain from a seed-blocked exposure, then photons from the combined one,
     # agrees with the joint fit within statistical error

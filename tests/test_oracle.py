@@ -258,8 +258,7 @@ def test_piecewise_provider_matches_dense_projection():
     for ws in workspaces:
         pieces.append(len(ws.provider.pieces))
         for z in piece_depths(ws):
-            got = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
-            ws.provider.blocks(z, got)
+            got = ws.provider.blocks(z)
             ref = dense_blocks(ws.space, ws.ops.htilde(z))
             scale = max(float(np.max(np.abs(r))) for r in ref)
             for blk, want in zip(got, ref, strict=True):
@@ -299,9 +298,8 @@ def test_providers_form_no_grid_sized_array(monkeypatch):
     ):
         ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
         assert (len(ws.provider.pieces) > 1) == several
-        out = [np.empty((d, d), dtype=complex) for d in oracle._block_dims(ws.space)]
-        ws.provider.blocks(0.37 * ws.length, out)
-        assert all(np.all(np.isfinite(blk)) for blk in out)
+        blocks = ws.provider.blocks(0.37 * ws.length)
+        assert all(np.all(np.isfinite(blk)) for blk in blocks)
     # building the acceptance-size workspace: what it allocates beyond what
     # it keeps stays below one real grid-sized array
     cfg = thin_reference_config(0.2)
@@ -343,25 +341,6 @@ def test_workspace_keeps_no_grid_sized_array():
     # the block-form Taylor coefficients are the largest arrays held
     assert max(sizes) == max(c.size for coeff in ws.provider.coeffs for c in coeff)
     assert max(sizes) < grid.size**2
-
-
-def test_providers_fill_caller_buffers():
-    blocks = []
-    for cfg, grid in table_cases():
-        ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
-        blocks.append(ws.space.nblocks)
-        dims = oracle._block_dims(ws.space)
-        length = ws.length
-        for z in piece_depths(ws):
-            first = [np.empty((d, d), dtype=complex) for d in dims]
-            second = [np.empty((d, d), dtype=complex) for d in dims]
-            ws.provider.blocks(z, first)
-            kept = [blk.copy() for blk in first]
-            ws.provider.blocks(0.5 * z + 0.2 * length, second)
-            for blk, ref in zip(first, kept):
-                assert np.array_equal(blk, ref)
-    # the point-group blocks and the one block of the trivial space
-    assert max(blocks) > 1 and min(blocks) == 1
 
 
 def test_weighted_plain_round_trip():
@@ -600,7 +579,7 @@ def test_fixed_steps_bit_identical_to_rk4():
     grid = thin_reference_grid(cfg, 9, 8)
     ws = oracle.GridWorkspace(kern, grid)
     sol = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
-    U, V = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
+    U, V = oracle._rk4_blocks(ws, 64)
     assert sol.info == {"steps": 64, "blocks": oracle._block_dims(ws.space)}
     assert sol.forward.space is sol.conjugate.space is ws.space
     for got, want in ((sol.forward.blocks, U), (sol.conjugate.blocks, V)):
@@ -630,17 +609,12 @@ def _rk4_textbook(ws, steps, drop_last_stage=False):
     V = [np.zeros((d, d), dtype=complex) for d in dims]
     h = ws.length / steps
 
-    def kernel(z):
-        out = [np.empty((d, d), dtype=complex) for d in dims]
-        ws.provider.blocks(z, out)
-        return out
-
     def slope(H, u, v):
         return 0.5 * v @ H, 0.5 * u @ np.conj(H)
 
     for i in range(steps):
         z = i * h
-        H_lo, H_mid, H_hi = kernel(z), kernel(z + 0.5 * h), kernel(z + h)
+        H_lo, H_mid, H_hi = (ws.provider.blocks(z + f * h) for f in (0.0, 0.5, 1.0))
         for s in range(len(dims)):
             u, v = U[s], V[s]
             k1 = slope(H_lo[s], u, v)
@@ -656,7 +630,7 @@ def test_identity_defect_flags_broken_integrator():
     cfg = thin_reference_config(0.3)
     ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 9, 8))
     U, V = _rk4_textbook(ws, 64)
-    U_pkg, V_pkg = oracle._rk4_blocks(ws.provider, ws.space, ws.length, 64)
+    U_pkg, V_pkg = oracle._rk4_blocks(ws, 64)
     assert max(float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_pkg + V_pkg)) < 1e-12
     assert oracle._bogoliubov_defect(ws.space, U, V) < 1e-10
     broken = _rk4_textbook(ws, 64, drop_last_stage=True)
