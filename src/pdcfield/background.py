@@ -107,22 +107,24 @@ def background_radial(kern: FieldKernels, r):
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     R2 = q.radial_scale**2
-    u = r**2 - q.ring_radius**2
-    v = u * q.crystal_beta / R2
+    u = r * r - q.ring_radius**2
     omega_3 = background_prefactor(kern)
 
-    out = np.empty(r.shape, dtype=float)
-    small = np.abs(u) < RADIAL_CROSSOVER * R2
-    uu, vv = u[~small], v[~small]
-    direct = omega_3 * (
-        q.crystal_beta * np.sin(vv) / uu**2
-        + 4.0 * (uu - R2) * np.sin(0.5 * vv) ** 2 / uu**3
-    )
+    # omega_3 (beta sin v / u^2 + 4 (u - R^2) sin^2(v/2) / u^3), v = beta u / R^2, from one sin
+    # and one cos of v/2; u = 0 takes the series below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / u
+        half_v = (0.5 * q.crystal_beta / R2) * u
+        half_sin = np.sin(half_v)
+        sin_v = 2.0 * half_sin * np.cos(half_v)
+        direct = (omega_3 * inv * inv) * (q.crystal_beta * sin_v
+                                          + 4.0 * (u - R2) * (half_sin * half_sin) * inv)
     # the truncated depth expansion can undershoot zero by O((R^2/u)^2) of
     # the peak near the pattern zeros; the exact intensity is non-negative
-    out[~small] = np.maximum(direct, 0.0)
-    vv = v[small]
-    out[small] = (omega_3 * q.crystal_beta**2 / R2**2) * (
+    out = np.maximum(direct, 0.0)
+    small = np.flatnonzero(np.abs(u) < RADIAL_CROSSOVER * R2)
+    vv = u.flat[small] * (q.crystal_beta / R2)
+    out.flat[small] = (omega_3 * q.crystal_beta**2 / R2**2) * (
         1.0
         - q.crystal_beta * vv / 12.0
         - vv**2 / 12.0

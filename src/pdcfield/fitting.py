@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, with_overrides
 from .kernels import FieldKernels
-from .stimulated import field_polynomials, polynomial_intensity, stimulated_intensity
+from .stimulated import (coefficient_intensity, field_polynomials, intensity_coefficients,
+                         stimulated_intensity)
 from .background import background_intensity
 
 FIT_PARAMETERS = ("seed_photons", "squeezing", "seed_waist", "pdc_angle")
@@ -70,11 +71,18 @@ class SeparableBasis:
 
     ``intensity(n, xi)`` is n * gain * sum_b |A_b(xi)|^2 + xi^2 * d, where
     ``polys`` holds the field polynomials A_b and ``background`` holds d.
+    ``coefficients`` holds gain * q_k, the real images of
+    ``intensity_coefficients`` formed once, so an (n, xi) evaluation is a
+    real Horner pass: for seed plus idler, seven real array operations.
     """
 
     polys: list
     gain: float                 # detector gain, |amplitude|^2 to photon counts
     background: np.ndarray
+    coefficients: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.coefficients = [self.gain * q for q in intensity_coefficients(self.polys)]
 
     @staticmethod
     def _check(photons, squeezing):
@@ -85,15 +93,14 @@ class SeparableBasis:
 
     def intensity(self, photons: float, squeezing: float) -> np.ndarray:
         self._check(photons, squeezing)
-        return (photons * self.gain * polynomial_intensity(self.polys, squeezing)
+        return (photons * coefficient_intensity(self.coefficients, squeezing)
                 + squeezing**2 * self.background)
 
     def derivatives(self, photons: float, squeezing: float):
         """Partial derivatives of the intensity in n and in xi."""
         self._check(photons, squeezing)
-        per_photon, slope = polynomial_intensity(self.polys, squeezing, derivative=True)
-        d_squeezing = photons * self.gain * slope + 2.0 * squeezing * self.background
-        return self.gain * per_photon, d_squeezing
+        per_photon, slope = coefficient_intensity(self.coefficients, squeezing, derivative=True)
+        return per_photon, photons * slope + 2.0 * squeezing * self.background
 
 
 class ForwardModel:
@@ -269,8 +276,9 @@ def fit_parameters(
                 jac[:, j] = 0.0
                 continue
             jac[:, j] = (model_counts(tp) - model_counts(tm)) / denom
-        jtj = (jac * weights[:, None]).T @ jac
-        grad = (jac * weights[:, None]).T @ resid
+        weighted = jac * weights[:, None]
+        jtj = weighted.T @ jac
+        grad = resid @ weighted  # weighted.T @ resid takes a slow matmul path
         diag = np.diag(jtj).copy()
         if np.any(diag <= 0) or np.linalg.cond(jtj) > 1e14:
             status = "not_identifiable"

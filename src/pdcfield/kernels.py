@@ -31,9 +31,14 @@ def gaussian_spectrum(offset, bandwidth):
     )
 
 
-def _norm_sq(K):
+def _norm_sq(K, center=(0.0, 0.0)):
+    """|K - center|^2 over the trailing axis of length 2, one component at a time."""
     K = np.asarray(K, dtype=float)
-    return np.sum(K * K, axis=-1)
+    dx, dy = K[..., 0] - center[0], K[..., 1] - center[1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,10 @@ class FieldKernels:
     def seed_profile(self, K, omega):
         """Seed parameter function, shifted in the Fourier domain."""
         s = self.cfg.seed
-        xi0 = s.amplitude * np.exp(1j * s.phase)
-        shift = np.asarray(seed_shift(self.cfg, self.q))
-        dK = np.asarray(K, dtype=float) - shift
-        return (
-            math.sqrt(2.0 * math.pi)
-            * xi0
-            * s.waist
-            * gaussian_spectrum(np.asarray(omega) - self.q.omega_deg, s.bandwidth)
-            * np.exp(-0.25 * s.waist**2 * _norm_sq(dK))
-        )
+        scale = math.sqrt(2.0 * math.pi) * s.waist * s.amplitude * np.exp(1j * s.phase)
+        spectral = gaussian_spectrum(np.asarray(omega) - self.q.omega_deg, s.bandwidth)
+        shift = seed_shift(self.cfg, self.q)
+        return (scale * spectral) * np.exp(-0.25 * s.waist**2 * _norm_sq(K, shift))
 
     # -- dispersion helpers --------------------------------------------
 

@@ -37,12 +37,9 @@ class OrderTerm:
     omega_center: float
 
     def __call__(self, K, omega):
-        dK = np.asarray(K, dtype=float) - np.asarray(self.center)
-        return (
-            self.prefactor
-            * gaussian_spectrum(np.asarray(omega) - self.omega_center, self.bandwidth)
-            * np.exp(-0.25 * self.width**2 * _norm_sq(dK))
-        )
+        spectral = gaussian_spectrum(np.asarray(omega) - self.omega_center, self.bandwidth)
+        return (self.prefactor * spectral) * np.exp(
+            -0.25 * self.width**2 * _norm_sq(K, self.center))
 
 
 def zeta_orders(kern: FieldKernels, m_max: int) -> list[OrderTerm]:
@@ -111,13 +108,19 @@ def idler_modulation(kappa, beta):
     """
     kappa = np.asarray(kappa, dtype=float)
     out = np.empty(kappa.shape, dtype=complex)
-    small = np.abs(kappa) < SERIES_CROSSOVER
-    k = kappa[~small]
-    # 1 - exp(-i k) written as 2 sin^2(k/2) + i sin k to avoid cancellation
-    one_minus = 2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)
-    out[~small] = (k - beta) * one_minus / k**2 + 1j * beta * np.exp(-1j * k) / k
-    k = kappa[small]
-    out[small] = (
+    # (k - beta) (1 - exp(-i k)) / k^2 + i beta exp(-i k) / k from one sin and one cos of
+    # k/2, 1 - cos k as 2 sin^2(k/2) against cancellation; k = 0 takes the series below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / kappa
+        half_sin = np.sin(0.5 * kappa)
+        sin_k = 2.0 * half_sin * np.cos(0.5 * kappa)
+        one_minus_cos = 2.0 * half_sin * half_sin
+        ratio = (kappa - beta) * inv
+        out.real = (ratio * one_minus_cos + beta * sin_k) * inv
+        out.imag = (ratio * sin_k + beta * (1.0 - one_minus_cos)) * inv
+    small = np.flatnonzero(np.abs(kappa) < SERIES_CROSSOVER)
+    k = kappa.flat[small]
+    out.flat[small] = (
         (1j + beta / 2.0)
         + k * (0.5 - 1j * beta / 3.0)
         + k**2 * (-1j / 6.0 - beta / 8.0)
@@ -144,12 +147,13 @@ def efficiency_f(a, beta):
 def idler_kappa(kern: FieldKernels, K):
     """Mismatch argument of the idler modulation at transverse wave vector K."""
     cfg, q = kern.cfg, kern.q
-    wp2 = cfg.pump.waist**2
     wx2 = cfg.seed.waist**2
-    shift = np.asarray(seed_shift(cfg, q))
-    Kb = (2.0 * wp2 + wx2) * np.asarray(K, dtype=float) - wx2 * shift
     L = cfg.crystal.length
-    return L * _norm_sq(Kb) / (4.0 * q.kz_deg * q.waist_sum**4) - L * q.angular_mismatch
+    # L |w K - wx^2 K_xi|^2 / (4 kz_deg waist_sum^4), w = 2 wp^2 + wx^2, as scale |K - center|^2
+    weight = 2.0 * cfg.pump.waist**2 + wx2
+    center = [wx2 / weight * c for c in seed_shift(cfg, q)]
+    scale = L * weight**2 / (4.0 * q.kz_deg * q.waist_sum**4)
+    return scale * _norm_sq(K, center) - L * q.angular_mismatch
 
 
 def zeta2_tca(kern: FieldKernels, K, omega):
@@ -164,30 +168,20 @@ def zeta2_tca(kern: FieldKernels, K, omega):
     if s.amplitude == 0.0:
         shape = np.broadcast_shapes(_norm_sq(K).shape, np.shape(omega))
         return np.zeros(shape, dtype=complex)
-    shift = np.asarray(seed_shift(cfg, q))
     delta_s = math.hypot(p.bandwidth, s.bandwidth)
     omega_1 = (
         2.0
         * q.squeezing
-        * (s.amplitude * np.exp(-1j * s.phase))
+        * (s.amplitude * np.exp(1j * (p.phase - s.phase)))
         * s.waist
         * p.waist**2
         * math.sqrt(2.0 * math.pi * s.bandwidth)
         / (delta_s**0.5 * q.waist_sum**2)
     )
-    Ka = np.asarray(K, dtype=float) + shift
-    envelope = np.exp(
-        -p.waist**2 * s.waist**2 * _norm_sq(Ka) / (4.0 * q.waist_sum**2)
-    )
     spectral = gaussian_spectrum(np.asarray(omega) - q.omega_deg, delta_s)
-    kappa = idler_kappa(kern, K)
-    return (
-        np.exp(1j * p.phase)
-        * omega_1
-        * spectral
-        * envelope
-        * idler_modulation(kappa, q.idler_beta)
-    )
+    width_sq = p.waist**2 * s.waist**2 / (4.0 * q.waist_sum**2)
+    envelope = np.exp(-width_sq * _norm_sq(K, [-c for c in seed_shift(cfg, q)]))
+    return (omega_1 * spectral) * (envelope * idler_modulation(idler_kappa(kern, K), q.idler_beta))
 
 
 def optimal_seed_geometry(kern: FieldKernels) -> dict:
@@ -246,23 +240,33 @@ def field_polynomials(
     return [signal, idler]
 
 
-def polynomial_intensity(polys, t: float, derivative: bool = False):
-    """Sum of |A(t)|^2 over the coefficient lists of ``field_polynomials``.
-
-    Horner's rule in t; with ``derivative`` also returns d/dt of the sum,
-    2 Re(conj(A) A') per list.
-    """
-    value = slope = 0.0
+def intensity_coefficients(polys):
+    """Real images q_k with sum over the lists of ``field_polynomials`` of
+    |A(t)|^2 = sum_k q_k t^k: q_k = sum_(i+j=k) Re(conj(c_i) c_j), scalar 0s skipped."""
+    q = [0.0] * (2 * max(len(coeffs) for coeffs in polys) - 1)
     for coeffs in polys:
-        amp, d_amp = coeffs[-1], 0.0
-        for c in reversed(coeffs[:-1]):
-            if derivative:
-                d_amp = d_amp * t + amp
-            amp = amp * t + c
-        value = value + (np.square(amp.real) + np.square(amp.imag))
+        terms = [(i, c) for i, c in enumerate(coeffs) if np.ndim(c) or c != 0]
+        for a, (i, ci) in enumerate(terms):
+            for j, cj in terms[a:]:
+                re = ci.real * cj.real + ci.imag * cj.imag
+                q[i + j] = q[i + j] + (re if i == j else 2.0 * re)
+    return q
+
+
+def coefficient_intensity(q, t: float, derivative: bool = False):
+    """sum_k q_k t^k by Horner's rule; with ``derivative`` also its d/dt."""
+    value, slope = q[-1], 0.0
+    for c in reversed(q[:-1]):
         if derivative:
-            slope = slope + 2.0 * (amp.real * d_amp.real + amp.imag * d_amp.imag)
+            slope = slope * t + value
+        value = value * t + c
     return (value, slope) if derivative else value
+
+
+def polynomial_intensity(polys, t: float, derivative: bool = False):
+    """Sum of |A(t)|^2 over the coefficient lists of ``field_polynomials``, with
+    ``derivative`` also its d/dt, from their ``intensity_coefficients``."""
+    return coefficient_intensity(intensity_coefficients(polys), t, derivative)
 
 
 def stimulated_intensity(

@@ -18,6 +18,51 @@ from pdcfield.validate import narrowband_reference_config
 from pdcfield import oracle
 
 
+def _background_radial_masked(kern, r):
+    """The radial background as the package wrote it before it took sin v
+    from v/2: boolean-mask copies for both branches."""
+    q = kern.q
+    r = np.asarray(r, dtype=float)
+    R2 = q.radial_scale**2
+    u = r**2 - q.ring_radius**2
+    v = u * q.crystal_beta / R2
+    omega_3 = background_prefactor(kern)
+    out = np.empty(r.shape, dtype=float)
+    small = np.abs(u) < RADIAL_CROSSOVER * R2
+    uu, vv = u[~small], v[~small]
+    direct = omega_3 * (
+        q.crystal_beta * np.sin(vv) / uu**2
+        + 4.0 * (uu - R2) * np.sin(0.5 * vv) ** 2 / uu**3
+    )
+    out[~small] = np.maximum(direct, 0.0)
+    vv = v[small]
+    out[small] = (omega_3 * q.crystal_beta**2 / R2**2) * (
+        1.0
+        - q.crystal_beta * vv / 12.0
+        - vv**2 / 12.0
+        + q.crystal_beta * vv**3 / 180.0
+        + vv**4 / 360.0
+    )
+    return out
+
+
+@pytest.mark.parametrize("cfg_name", ["ring_cfg", "collinear_cfg"])
+def test_background_radial_matches_masked_form(request, cfg_name):
+    # r^2 - r0^2 on a log scale from 1e-6 to 100 R^2 on both sides of the
+    # ring (|v| < 1, short of the first zero), across the series seam at
+    # 1e-3 R^2 and at the ring itself
+    kern = FieldKernels(request.getfixturevalue(cfg_name))
+    q = kern.q
+    R2 = q.radial_scale**2
+    scaled = np.concatenate([np.geomspace(1e-6, 100.0, 4001),
+                             RADIAL_CROSSOVER * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])])
+    r_sq = q.ring_radius**2 + np.concatenate([scaled, -scaled, [0.0]]) * R2
+    r = np.sqrt(r_sq[r_sq >= 0.0])
+    got = background_radial(kern, r.reshape(-1, 1)).ravel()
+    want = _background_radial_masked(kern, r)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
 def test_zero_gain_zero_background(ring_cfg):
     kern = FieldKernels(with_overrides(ring_cfg, squeezing=0.0))
     r = np.linspace(0, 2e-3, 101)

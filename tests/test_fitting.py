@@ -1,10 +1,13 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdcfield.fitting
-from pdcfield.config import ConfigError, with_overrides
+from pdcfield.config import (ConfigError, CrystalConfig, DetectorConfig, ExperimentConfig,
+                             PumpConfig, SeedConfig, with_overrides)
 from pdcfield.kernels import FieldKernels
 from pdcfield.fitting import (
     ForwardModel,
@@ -314,6 +317,60 @@ def test_basis_jacobian_matches_central_differences(overlap_cfg, axes, model_nam
     )
     assert np.max(np.abs(d_photons - num_n)) <= 1e-7 * np.max(np.abs(num_n))
     assert np.max(np.abs(d_xi - num_xi)) <= 1e-7 * np.max(np.abs(num_xi))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    pump_waist=st.floats(0.1e-3, 1e-3),
+    seed_waist=st.floats(0.1e-3, 1e-3),
+    pdc_angle=st.floats(0.0, 20e-3),
+    seed_phase=st.floats(0.0, 2.0 * math.pi),
+    pump_phase=st.floats(0.0, 2.0 * math.pi),
+    offset_mm=st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8)),
+    photons=st.floats(0.5, 10.0),
+    xi=st.floats(0.0, 3.0),
+    mode=st.sampled_from(["coherent", "separate"]),
+    model_name=st.sampled_from(["tca", "orders"]),
+)
+def test_basis_matches_complex_evaluation_property(
+    pump_waist, seed_waist, pdc_angle, seed_phase, pump_phase, offset_mm, photons, xi,
+    mode, model_name,
+):
+    omega = 4.0 * math.pi * 299792458.0 / 0.8e-6
+    focal = 0.1
+    k_deg = omega / 2.0 / 299792458.0
+    cfg = ExperimentConfig(
+        pump=PumpConfig(omega=omega, bandwidth=5e11, waist=pump_waist, phase=pump_phase),
+        seed=SeedConfig(amplitude=2.0, waist=seed_waist, bandwidth=5e11, phase=seed_phase,
+                        shift=tuple(k_deg * 1e-3 * o / focal for o in offset_mm)),
+        crystal=CrystalConfig(length=3e-3, cross_section=1e-22, pdc_angle=pdc_angle,
+                              squeezing=1.0),
+        detector=DetectorConfig(focal_length=focal, aperture=2e-3, bandwidth=1e9),
+    )
+    x = np.linspace(-1.5e-3, 1.5e-3, 24)
+    X0 = np.stack(np.meshgrid(x, x[::2]), axis=-1)
+    basis = ForwardModel(cfg, mode=mode, model=model_name).basis(X0)
+    # test-owned: each field polynomial summed in complex arithmetic, then
+    # |.|^2; ``bound`` replaces each coefficient by its modulus, the scale of
+    # the rounding of any sum of |A_b|^2, which may cancel where signal and
+    # idler interfere
+    field = bound = 0.0
+    for coeffs in basis.polys:
+        field = field + np.abs(sum(c * xi**j for j, c in enumerate(coeffs))) ** 2
+        bound = bound + sum(np.abs(c) * xi**j for j, c in enumerate(coeffs)) ** 2
+    want = photons * basis.gain * field + xi**2 * basis.background
+    scale = photons * basis.gain * bound + xi**2 * basis.background
+    assert np.all(np.abs(basis.intensity(photons, xi) - want) <= 1e-12 * scale)
+
+    xi_c = max(xi, 0.05)
+    h_n, h_xi = 1e-4 * photons, 1e-5 * xi_c
+    d_photons, d_xi = basis.derivatives(photons, xi_c)
+    num_n = (basis.intensity(photons + h_n, xi_c) - basis.intensity(photons - h_n, xi_c)) / (2 * h_n)
+    num_xi = (basis.intensity(photons, xi_c + h_xi) - basis.intensity(photons, xi_c - h_xi)) / (
+        2 * h_xi)
+    size = np.max(basis.intensity(photons, xi_c))
+    assert np.max(np.abs(d_photons - num_n)) <= 1e-7 * size / photons
+    assert np.max(np.abs(d_xi - num_xi)) <= 1e-7 * size / xi_c
 
 
 def test_negative_photons_and_gain_rejected(model, axes):

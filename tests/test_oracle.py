@@ -603,7 +603,9 @@ def test_identity_defect_at_gain_one():
 def _rk4_textbook(ws, steps, drop_last_stage=False):
     """Textbook RK4 of dU = V H / 2, dV = U conj(H) / 2 on the workspace
     blocks; with ``drop_last_stage`` the end-of-step slope is replaced by
-    the third."""
+    the third.  A step starts from the previous step's end kernel when their
+    depths are the same float, so the results are those of asking the
+    provider at every stage."""
     dims = oracle._block_dims(ws.space)
     U = [np.eye(d, dtype=complex) for d in dims]
     V = [np.zeros((d, d), dtype=complex) for d in dims]
@@ -612,9 +614,12 @@ def _rk4_textbook(ws, steps, drop_last_stage=False):
     def slope(H, u, v):
         return 0.5 * v @ H, 0.5 * u @ np.conj(H)
 
+    end, H_end = None, None
     for i in range(steps):
         z = i * h
-        H_lo, H_mid, H_hi = (ws.provider.blocks(z + f * h) for f in (0.0, 0.5, 1.0))
+        H_lo = H_end if end == z + 0.0 * h else ws.provider.blocks(z + 0.0 * h)
+        H_mid, H_hi = (ws.provider.blocks(z + f * h) for f in (0.5, 1.0))
+        end, H_end = z + 1.0 * h, H_hi
         for s in range(len(dims)):
             u, v = U[s], V[s]
             k1 = slope(H_lo[s], u, v)
@@ -968,6 +973,24 @@ def test_spread_max_abs_equals_spread_without_a_grid_matrix():
         # samples, well under a complex grid matrix
         if min(grid.shape) > 1:
             assert peak < grid.size**2 * 16 / 2
+
+
+def test_bogoliubov_defect_reads_both_residuals_in_one_pass(monkeypatch):
+    cfg = thin_reference_config(0.3)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 9, 8))
+    sol = oracle.solve_UV_ode(ws.kern, ws.grid, workspace=ws)
+    U, V = sol.forward.blocks, sol.conjugate.blocks
+    identity, symmetric = [], []
+    for u, v in zip(U, V):
+        identity.append(u.conj().T @ u - v.T @ v.conj() - np.eye(u.shape[0]))
+        symmetric.append(u @ v.T - (u @ v.T).T)
+    two_passes = max(ws.space.spread_max_abs(identity), ws.space.spread_max_abs(symmetric))
+    passes = []
+    spread_rows = oracle._BlockSpace._spread_rows
+    monkeypatch.setattr(oracle._BlockSpace, "_spread_rows", lambda self, *lists: (
+        passes.append(len(lists)) or spread_rows(self, *lists)))
+    assert oracle._bogoliubov_defect(ws.space, U, V) == two_passes
+    assert passes == [2]
 
 
 def test_solvers_form_no_grid_matrix(monkeypatch):

@@ -154,6 +154,41 @@ def test_idler_modulation_matches_efficiency():
         assert np.allclose(np.abs(g) ** 2, f, rtol=1e-10, atol=1e-12)
 
 
+def _idler_modulation_complex(kappa, beta):
+    """The modulation in complex arithmetic, as the package wrote it before it
+    took sin k and cos k from k/2: a complex exp on the direct branch and
+    boolean-mask copies for both branches."""
+    kappa = np.asarray(kappa, dtype=float)
+    out = np.empty(kappa.shape, dtype=complex)
+    small = np.abs(kappa) < SERIES_CROSSOVER
+    k = kappa[~small]
+    one_minus = 2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)
+    out[~small] = (k - beta) * one_minus / k**2 + 1j * beta * np.exp(-1j * k) / k
+    k = kappa[small]
+    out[small] = (
+        (1j + beta / 2.0)
+        + k * (0.5 - 1j * beta / 3.0)
+        + k**2 * (-1j / 6.0 - beta / 8.0)
+        + k**3 * (-1.0 / 24.0 + 1j * beta / 30.0)
+        + k**4 * (1j / 120.0 + beta / 144.0)
+    )
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 3.0])
+def test_idler_modulation_matches_complex_form(beta):
+    # dense over [-100, 100], on both sides of the series seam at +-1e-3, on
+    # a log scale across it, and at the removable singularity itself
+    seam = SERIES_CROSSOVER * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    near = np.geomspace(1e-6, 1e-2, 2001)
+    kappa = np.concatenate([np.linspace(-100.0, 100.0, 200001), seam, -seam, near, -near, [0.0]])
+    got = idler_modulation(kappa.reshape(-1, 1), beta).ravel()
+    want = _idler_modulation_complex(kappa, beta)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert idler_modulation(0.0, beta).shape == ()
+    assert idler_modulation(0.0, beta) == 1j + beta / 2.0
+
+
 def test_efficiency_zero_beta_limit():
     assert efficiency_f(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
     a = np.array([1e-3, 1e-2, 0.5])
