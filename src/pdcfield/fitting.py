@@ -73,7 +73,9 @@ class SeparableBasis:
     ``polys`` holds the field polynomials A_b and ``background`` holds d.
     ``coefficients`` holds gain * q_k, the real images of
     ``intensity_coefficients`` formed once, so an (n, xi) evaluation is a
-    real Horner pass: for seed plus idler, seven real array operations.
+    real Horner pass, eight real array operations for seed plus idler. It
+    rounds to eps * n * gain * sum_b (sum_j |c_j| xi^j)^2, not eps times the
+    intensity, so precision is absolute where signal and idler cancel.
     """
 
     polys: list

@@ -429,34 +429,31 @@ class _BlockSpace:
         bases = self.k_bases()
         return bases, np.hstack([q for basis_list in bases for q in basis_list])
 
-    def _spread_rows(self, *block_lists):
-        """The grid matrix of each list of blocks one omega sample a at a
-        time: yields, for each a and then each list, its rows (i, a) for
-        every K mode i, an (nk, nk * nw) array."""
+    def _spread_rows(self, blocks):
+        """The grid matrix of ``blocks`` one omega sample a at a time: yields
+        its rows (i, a) for every K mode i, an (nk, nk * nw) array."""
         nk, nw = self.nk, self.nw
         bases, basis = self._row_bases
         # right[p, j, (w', re/im)]: row (p, a) of each copy, its column index
         # expanded to K
         right = np.empty((nk, nk, 2 * nw))
         for a in range(nw):
-            for blocks in block_lists:
-                row = 0
-                for blk, basis_list in zip(blocks, bases):
-                    for q in basis_list:
-                        d = q.shape[1]
-                        np.matmul(q, blk.view(float).reshape(d, nw, d, 2 * nw)[:, a],
-                                  out=right[row:row + d])
-                        row += d
-                yield (basis @ right.reshape(nk, -1)).view(complex)
+            row = 0
+            for blk, basis_list in zip(blocks, bases):
+                for q in basis_list:
+                    d = q.shape[1]
+                    np.matmul(q, blk.view(float).reshape(d, nw, d, 2 * nw)[:, a],
+                              out=right[row:row + d])
+                    row += d
+            yield (basis @ right.reshape(nk, -1)).view(complex)
 
     def spread(self, blocks) -> np.ndarray:
         size = self.nk * self.nw
         return np.stack(list(self._spread_rows(blocks)), axis=1).reshape(size, size)
 
-    def spread_max_abs(self, *block_lists) -> float:
-        """max |spread(blocks)| over each list of blocks, in one pass over the
-        grid rows and without forming a grid matrix."""
-        return max(float(np.max(np.abs(rows))) for rows in self._spread_rows(*block_lists))
+    def spread_max_abs(self, blocks) -> float:
+        """max |spread(blocks)|, without forming the grid matrix."""
+        return max(float(np.max(np.abs(rows))) for rows in self._spread_rows(blocks))
 
 
 @dataclass
@@ -825,8 +822,8 @@ def _bogoliubov_defect(space: _BlockSpace, U, V) -> float:
     71, 055801 (2005)) that the depth equations conserve, so the defect
     measures integration error.  The bases of ``space`` are real, so
     conjugation and transposition act block by block; both residuals are
-    formed on the weight-absorbed blocks and read on the grid in one
-    ``spread_max_abs`` pass, so the figure does not depend on the block basis.
+    formed on the weight-absorbed blocks and read on the grid with
+    ``spread_max_abs``, so the figure does not depend on the block basis.
     """
     identity, symmetric = [], []
     for u, v in zip(U, V):
@@ -835,7 +832,7 @@ def _bogoliubov_defect(space: _BlockSpace, U, V) -> float:
         identity.append(d)
         uvt = u @ v.T
         symmetric.append(uvt - uvt.T)
-    return space.spread_max_abs(identity, symmetric)
+    return max(space.spread_max_abs(identity), space.spread_max_abs(symmetric))
 
 
 def solve_UV_ode(
@@ -996,8 +993,9 @@ def ab_consistency_defect(kern: FieldKernels, grid: ModeGrid) -> float:
         rhs_b = [0.5 * (t.conj().T @ a.T) + 0.5 * (a @ np.conj(t)) for t, a in zip(ht, a_here)]
         res_a = [(n - p) / (2.0 * h) - r for n, p, r in zip(a_next, a_prev, rhs_a)]
         res_b = [(n - p) / (2.0 * h) - r for n, p, r in zip(b_next, b_prev, rhs_b)]
-        scale = max(space.spread_max_abs(rhs_a, rhs_b), 1e-300)
-        worst = max(worst, space.spread_max_abs(res_a, res_b) / scale)
+        scale = max(space.spread_max_abs(rhs_a), space.spread_max_abs(rhs_b), 1e-300)
+        worst = max(worst, space.spread_max_abs(res_a) / scale,
+                    space.spread_max_abs(res_b) / scale)
     return worst
 
 

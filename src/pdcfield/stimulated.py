@@ -254,19 +254,15 @@ def intensity_coefficients(polys):
 
 
 def coefficient_intensity(q, t: float, derivative: bool = False):
-    """sum_k q_k t^k by Horner's rule; with ``derivative`` also its d/dt."""
+    """sum_k q_k t^k by Horner's rule, clipped at 0 where it rounds below, as an
+    expanded sum of squares can where fields cancel; with ``derivative`` also d/dt."""
     value, slope = q[-1], 0.0
     for c in reversed(q[:-1]):
         if derivative:
             slope = slope * t + value
         value = value * t + c
+    value = np.maximum(value, 0.0)
     return (value, slope) if derivative else value
-
-
-def polynomial_intensity(polys, t: float, derivative: bool = False):
-    """Sum of |A(t)|^2 over the coefficient lists of ``field_polynomials``, with
-    ``derivative`` also its d/dt, from their ``intensity_coefficients``."""
-    return coefficient_intensity(intensity_coefficients(polys), t, derivative)
 
 
 def stimulated_intensity(
@@ -284,4 +280,4 @@ def stimulated_intensity(
     or the separate sum |signal|^2 + |idler|^2.
     """
     polys = field_polynomials(kern, X0, mode=mode, model=model, m_max=m_max)
-    return kern.q.detector_gain * polynomial_intensity(polys, 1.0)
+    return kern.q.detector_gain * coefficient_intensity(intensity_coefficients(polys), 1.0)

@@ -975,24 +975,6 @@ def test_spread_max_abs_equals_spread_without_a_grid_matrix():
             assert peak < grid.size**2 * 16 / 2
 
 
-def test_bogoliubov_defect_reads_both_residuals_in_one_pass(monkeypatch):
-    cfg = thin_reference_config(0.3)
-    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 9, 8))
-    sol = oracle.solve_UV_ode(ws.kern, ws.grid, workspace=ws)
-    U, V = sol.forward.blocks, sol.conjugate.blocks
-    identity, symmetric = [], []
-    for u, v in zip(U, V):
-        identity.append(u.conj().T @ u - v.T @ v.conj() - np.eye(u.shape[0]))
-        symmetric.append(u @ v.T - (u @ v.T).T)
-    two_passes = max(ws.space.spread_max_abs(identity), ws.space.spread_max_abs(symmetric))
-    passes = []
-    spread_rows = oracle._BlockSpace._spread_rows
-    monkeypatch.setattr(oracle._BlockSpace, "_spread_rows", lambda self, *lists: (
-        passes.append(len(lists)) or spread_rows(self, *lists)))
-    assert oracle._bogoliubov_defect(ws.space, U, V) == two_passes
-    assert passes == [2]
-
-
 def test_solvers_form_no_grid_matrix(monkeypatch):
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)

@@ -14,6 +14,8 @@ from pdcfield.stimulated import (
     efficiency_f,
     optimal_seed_geometry,
     stimulated_intensity,
+    intensity_coefficients,
+    coefficient_intensity,
     SERIES_CROSSOVER,
 )
 from pdcfield.validate import thin_reference_config
@@ -187,6 +189,21 @@ def test_idler_modulation_matches_complex_form(beta):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
     assert idler_modulation(0.0, beta).shape == ()
     assert idler_modulation(0.0, beta) == 1j + beta / 2.0
+
+
+def test_coefficient_intensity_non_negative_where_fields_cancel():
+    # c0 + c1 xi = 0 exactly: the expanded sum rounds on both sides of 0,
+    # within eps of the coefficient bound, and the value is clipped at 0
+    rng = np.random.default_rng(5)
+    c0 = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    xi = 0.7
+    q = intensity_coefficients([[c0, -c0 / xi]])
+    value, slope = coefficient_intensity(q, xi, derivative=True)
+    bound = (2.0 * np.abs(c0)) ** 2
+    assert np.all(value >= 0.0)
+    assert np.all(value <= 1e-15 * bound)
+    assert np.array_equal(coefficient_intensity(q, xi), value)
+    assert np.allclose(slope, 0.0, atol=1e-14 * np.max(bound))
 
 
 def test_efficiency_zero_beta_limit():
