@@ -16,8 +16,8 @@ from .kernels import FieldKernels
 from .stimulated import zeta_orders, zeta_branches, efficiency_f
 from .background import background_radial
 from .fitting import (
-    FIT_PARAMETERS, ForwardModel, IntensityImage, combined_intensity, synthesize_image,
-    fit_parameters,
+    FIT_PARAMETERS, ForwardModel, IntensityImage, checked_exposure, combined_intensity,
+    synthesize_image, fit_parameters,
 )
 from .plotio import write_csv, read_csv, render_plot
 from .validate import run_validation
@@ -47,6 +47,13 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
     if hi <= lo:
         raise ConfigError(f"--{name} range is degenerate: {text!r}")
     return lo, hi
+
+
+def _exposure(args) -> float:
+    try:
+        return checked_exposure(args.exposure)
+    except ValueError as exc:
+        raise ConfigError(f"--exposure: {exc}") from None
 
 
 def cmd_orders(args) -> int:
@@ -129,13 +136,12 @@ def cmd_combined(args) -> int:
 
 def cmd_image(args) -> int:
     cfg = _load(args)
+    exposure = _exposure(args)
     model = ForwardModel(cfg, mode=args.mode)
     half = args.half_width * 1e-3
     x = np.linspace(-half, half, args.nx)
     y = np.linspace(-half * args.ny / args.nx, half * args.ny / args.nx, args.ny)
-    image = synthesize_image(
-        model, x, y, noise=args.noise, seed=args.seed, exposure=args.exposure
-    )
+    image = synthesize_image(model, x, y, noise=args.noise, seed=args.seed, exposure=exposure)
     out = _outdir(args)
     XX, YY = np.meshgrid(x * 1e3, y * 1e3)  # row-major: x varies fastest
     write_csv(out / "image.csv", ["x_mm", "y_mm", "intensity"],
@@ -144,7 +150,7 @@ def cmd_image(args) -> int:
     return 0
 
 
-def _read_image(path) -> IntensityImage:
+def _read_image(path, exposure: float = 1.0) -> IntensityImage:
     try:
         header, arr = read_csv(path)
     except ValueError as exc:
@@ -161,7 +167,8 @@ def _read_image(path) -> IntensityImage:
     values = np.empty(filled.size)
     values[cell] = arr[:, 2]
     try:
-        return IntensityImage(x=x * 1e-3, y=y * 1e-3, values=values.reshape(y.size, x.size))
+        return IntensityImage(x=x * 1e-3, y=y * 1e-3, values=values.reshape(y.size, x.size),
+                              exposure=exposure)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -186,8 +193,7 @@ def _fit_arguments(args) -> tuple[tuple[str, ...], dict]:
 
 def cmd_fit(args) -> int:
     cfg = _load(args)
-    image = _read_image(args.image)
-    image.exposure = args.exposure
+    image = _read_image(args.image, _exposure(args))
     model = ForwardModel(cfg, mode=args.mode)
     free, init = _fit_arguments(args)
     result = fit_parameters(model, image, free=free, init=init or None)

@@ -2,10 +2,17 @@
 
 All quantities are stored internally in SI units (m, s, rad/s).  Config
 files are INI-style documents with sections [pump], [seed], [crystal],
-[detector] and an optional free-form [run] section; every dimensioned
-value must carry an explicit unit suffix (e.g. ``waist = 0.2 mm``).  An
-unknown section, or an unknown key in any section but [run], is an
-error, so a misspelled key is never silently ignored.
+[detector] and an optional free-form [run] section.  One table,
+``_SCHEMA``, names the keys of each section and the unit kind of each
+key (length, angle, area, wavenumber, angular frequency, bandwidth or
+dimensionless).  The parser converts each value to SI as it reads it:
+a dimensioned value must carry a unit suffix of its kind (e.g.
+``waist = 0.2 mm``), a bandwidth may be given as a duration, read as
+its reciprocal, and every number must be finite.  An unknown section,
+or an unknown key in any section but [run], is an error, so a
+misspelled key is never silently ignored.  The section builders then
+apply the rules between keys, such as the pump's one frequency and the
+seed's one shift style.
 """
 
 from __future__ import annotations
@@ -15,20 +22,43 @@ from dataclasses import dataclass, field, replace
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-_LENGTH_UNITS = {
-    "m": 1.0,
-    "cm": 1e-2,
-    "mm": 1e-3,
-    "um": 1e-6,
-    "µm": 1e-6,
-    "μm": 1e-6,
-    "nm": 1e-9,
-}
-_ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3, "deg": math.pi / 180.0}
-_ANGFREQ_UNITS = {"rad/s": 1.0, "1/s": 1.0}
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12, "fs": 1e-15}
-_AREA_UNITS = {"m^2": 1.0, "cm^2": 1e-4, "mm^2": 1e-6, "um^2": 1e-12, "nm^2": 1e-18}
-_WAVENUMBER_UNITS = {"1/m": 1.0, "1/mm": 1e3, "1/um": 1e6}
+_ANGFREQ_UNITS = {"rad/s": 1.0, "1/s": 1.0}
+
+# SI factor of each unit, by unit kind; a bandwidth may also be a duration
+# (_TIME_UNITS), read as its reciprocal
+_UNITS = {
+    "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "μm": 1e-6,
+               "nm": 1e-9},
+    "angle": {"rad": 1.0, "mrad": 1e-3, "deg": math.pi / 180.0},
+    "area": {"m^2": 1.0, "cm^2": 1e-4, "mm^2": 1e-6, "um^2": 1e-12, "nm^2": 1e-18},
+    "wavenumber": {"1/m": 1.0, "1/mm": 1e3, "1/um": 1e6},
+    "angular-frequency": _ANGFREQ_UNITS,
+    "bandwidth": _ANGFREQ_UNITS,
+    "dimensionless": None,
+}
+
+# The keys each section accepts and the unit kind of each; [run] is
+# free-form (None)
+_SCHEMA = {
+    "pump": {
+        "wavelength": "length", "degenerate_wavelength": "length",
+        "frequency": "angular-frequency", "bandwidth": "bandwidth", "waist": "length",
+        "amplitude": "dimensionless", "phase": "angle",
+    },
+    "seed": {
+        "photons": "dimensionless", "amplitude": "dimensionless", "waist": "length",
+        "bandwidth": "bandwidth", "eta": "dimensionless", "frequency": "angular-frequency",
+        "phase": "angle", "shift_x": "length", "shift_y": "length", "kx": "wavenumber",
+        "ky": "wavenumber", "g_factor": "dimensionless",
+    },
+    "crystal": {
+        "length": "length", "cross_section": "area", "refractive_index": "dimensionless",
+        "pdc_angle": "angle", "squeezing": "dimensionless",
+    },
+    "detector": {"focal_length": "length", "aperture": "length", "bandwidth": "bandwidth"},
+    "run": None,
+}
 
 
 class ConfigError(ValueError):
@@ -37,89 +67,52 @@ class ConfigError(ValueError):
 
 def _parse_number(token: str, key: str, line: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(
             f"line {line}: value of '{key}' is not a number: {token!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line}: value of '{key}' must be finite, got {token!r}")
+    return value
 
 
-class _Quantity:
-    """A raw config value: number plus optional unit token, with line info."""
-
-    __slots__ = ("key", "value", "unit", "line")
-
-    def __init__(self, key: str, value: float, unit: str | None, line: int):
-        self.key = key
-        self.value = value
-        self.unit = unit
-        self.line = line
-
-    def dimensionless(self) -> float:
-        if self.unit is not None:
+def _to_si(key: str, value: float, unit: str | None, kind: str, line: int) -> float:
+    """``value`` given in ``unit`` as an SI number of unit kind ``kind``."""
+    table = _UNITS[kind]
+    if table is None:
+        if unit is not None:
             raise ConfigError(
-                f"line {self.line}: '{self.key}' is dimensionless but has "
-                f"unit {self.unit!r}"
+                f"line {line}: '{key}' is dimensionless but has unit {unit!r}"
             )
-        return self.value
-
-    def in_units(self, table: dict[str, float], what: str) -> float:
-        if self.unit is None:
-            raise ConfigError(
-                f"line {self.line}: '{self.key}' is missing a {what} unit suffix "
-                f"(one of {', '.join(sorted(table))})"
-            )
-        if self.unit not in table:
-            raise ConfigError(
-                f"line {self.line}: '{self.key}' has unsupported {what} unit "
-                f"{self.unit!r} (expected one of {', '.join(sorted(table))})"
-            )
-        return self.value * table[self.unit]
-
-    def length(self) -> float:
-        return self.in_units(_LENGTH_UNITS, "length")
-
-    def angle(self) -> float:
-        return self.in_units(_ANGLE_UNITS, "angle")
-
-    def area(self) -> float:
-        return self.in_units(_AREA_UNITS, "area")
-
-    def wavenumber(self) -> float:
-        return self.in_units(_WAVENUMBER_UNITS, "wavenumber")
-
-    def angular_frequency(self) -> float:
-        return self.in_units(_ANGFREQ_UNITS, "angular-frequency")
-
-    def bandwidth(self) -> float:
-        """Angular-frequency bandwidth; a time unit is read as 1/duration."""
-        if self.unit in _TIME_UNITS:
-            tau = self.value * _TIME_UNITS[self.unit]
-            if tau <= 0:
-                raise ConfigError(f"line {self.line}: '{self.key}' must be positive")
-            return 1.0 / tau
-        return self.in_units(_ANGFREQ_UNITS, "bandwidth")
+        return value
+    if kind == "bandwidth" and unit in _TIME_UNITS:
+        tau = value * _TIME_UNITS[unit]
+        if tau <= 0:
+            raise ConfigError(f"line {line}: '{key}' must be positive")
+        return 1.0 / tau
+    if unit is None:
+        raise ConfigError(
+            f"line {line}: '{key}' is missing a {kind} unit suffix "
+            f"(one of {', '.join(sorted(table))})"
+        )
+    if unit not in table:
+        raise ConfigError(
+            f"line {line}: '{key}' has unsupported {kind} unit "
+            f"{unit!r} (expected one of {', '.join(sorted(table))})"
+        )
+    return value * table[unit]
 
 
-# The keys each section accepts; [run] is free-form (None)
-_SECTION_KEYS = {
-    "pump": {"wavelength", "degenerate_wavelength", "frequency", "bandwidth", "waist",
-             "amplitude", "phase"},
-    "seed": {"photons", "amplitude", "waist", "bandwidth", "eta", "frequency", "phase",
-             "shift_x", "shift_y", "kx", "ky", "g_factor"},
-    "crystal": {"length", "cross_section", "refractive_index", "pdc_angle", "squeezing"},
-    "detector": {"focal_length", "aperture", "bandwidth"},
-    "run": None,
-}
+def _parse_document(text: str) -> dict[str, dict]:
+    """Parse an INI-like document into SI values by section and key.
 
-
-def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
-    """Parse an INI-like document, keeping line numbers for error messages.
-
-    An unknown section or an unknown key of a known section raises
-    ConfigError naming it and its line."""
-    sections: dict[str, dict[str, _Quantity]] = {}
-    current: dict[str, _Quantity] | None = None
+    An unknown section, an unknown key of a known section or a value
+    that does not fit its key's unit kind raises ConfigError naming it
+    and its line.  A [run] value stays a number, or a (number, unit) pair
+    when it carries a unit."""
+    sections: dict[str, dict] = {}
+    current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
@@ -130,12 +123,12 @@ def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
             name = line[1:-1].strip().lower()
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
-            if name not in _SECTION_KEYS:
+            if name not in _SCHEMA:
                 raise ConfigError(
                     f"line {lineno}: unknown section [{name}] "
-                    f"(expected one of {', '.join(f'[{n}]' for n in _SECTION_KEYS)})"
+                    f"(expected one of {', '.join(f'[{n}]' for n in _SCHEMA)})"
                 )
-            allowed = _SECTION_KEYS[name]
+            kinds = _SCHEMA[name]
             current = sections.setdefault(name, {})
             continue
         if "=" not in line:
@@ -147,10 +140,10 @@ def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
         rhs = rhs.strip().strip('"').strip("'").strip()
         if not key:
             raise ConfigError(f"line {lineno}: missing key before '='")
-        if allowed is not None and key not in allowed:
+        if kinds is not None and key not in kinds:
             raise ConfigError(
                 f"line {lineno}: unknown key '{key}' in [{name}] "
-                f"(expected one of {', '.join(sorted(allowed))})"
+                f"(expected one of {', '.join(sorted(kinds))})"
             )
         if not rhs:
             raise ConfigError(f"line {lineno}: missing value for '{key}'")
@@ -159,7 +152,10 @@ def _parse_document(text: str) -> dict[str, dict[str, _Quantity]]:
         unit = parts[1].strip() if len(parts) == 2 else None
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        current[key] = _Quantity(key, value, unit, lineno)
+        if kinds is None:
+            current[key] = value if unit is None else (value, unit)
+        else:
+            current[key] = _to_si(key, value, unit, kinds[key], lineno)
     return sections
 
 
@@ -394,102 +390,89 @@ def seed_shift(cfg: ExperimentConfig, derived: DerivedQuantities | None = None):
     return cfg.seed.shift
 
 
-def _pump_from_section(sec: dict[str, _Quantity]) -> PumpConfig:
-    has_wl = "wavelength" in sec
-    has_dg = "degenerate_wavelength" in sec
-    has_fr = "frequency" in sec
-    if sum((has_wl, has_dg, has_fr)) != 1:
+def _required(sec: dict, section: str, *keys: str) -> dict:
+    """``sec`` itself, once each of ``keys`` is found in it."""
+    for key in keys:
+        if key not in sec:
+            raise ConfigError(f"[{section}] is missing '{key}'")
+    return sec
+
+
+def _pump_from_section(sec: dict) -> PumpConfig:
+    if sum(k in sec for k in ("wavelength", "degenerate_wavelength", "frequency")) != 1:
         raise ConfigError(
             "[pump] needs exactly one of 'wavelength', 'degenerate_wavelength' "
             "or 'frequency'"
         )
-    if has_fr:
-        omega = sec["frequency"].angular_frequency()
-    elif has_wl:
-        omega = 2.0 * math.pi * SPEED_OF_LIGHT / sec["wavelength"].length()
+    if "frequency" in sec:
+        omega = sec["frequency"]
+    elif "wavelength" in sec:
+        omega = 2.0 * math.pi * SPEED_OF_LIGHT / _require_positive(
+            "pump.wavelength", sec["wavelength"])
     else:
-        omega = 4.0 * math.pi * SPEED_OF_LIGHT / sec["degenerate_wavelength"].length()
-    if "bandwidth" not in sec:
-        raise ConfigError("[pump] is missing 'bandwidth'")
-    if "waist" not in sec:
-        raise ConfigError("[pump] is missing 'waist'")
+        omega = 4.0 * math.pi * SPEED_OF_LIGHT / _require_positive(
+            "pump.degenerate_wavelength", sec["degenerate_wavelength"])
+    _required(sec, "pump", "bandwidth", "waist")
     return PumpConfig(
         omega=omega,
-        bandwidth=sec["bandwidth"].bandwidth(),
-        waist=sec["waist"].length(),
-        amplitude=sec["amplitude"].dimensionless() if "amplitude" in sec else 0.0,
-        phase=sec["phase"].angle() if "phase" in sec else 0.0,
+        bandwidth=sec["bandwidth"],
+        waist=sec["waist"],
+        amplitude=sec.get("amplitude", 0.0),
+        phase=sec.get("phase", 0.0),
     )
 
 
-def _seed_from_section(
-    sec: dict[str, _Quantity], pump: PumpConfig, k_deg: float, focal: float
-) -> SeedConfig:
+# The seed shift styles; a document may use one
+_SHIFT_STYLES = (("shift_x", "shift_y"), ("kx", "ky"), ("g_factor",))
+
+
+def _seed_from_section(sec: dict, pump: PumpConfig, k_deg: float, focal: float) -> SeedConfig:
     if "photons" in sec and "amplitude" in sec:
         raise ConfigError("[seed] takes 'photons' or 'amplitude', not both")
     if "photons" in sec:
-        photons = sec["photons"].dimensionless()
-        if photons < 0:
+        if sec["photons"] < 0:
             raise ConfigError("'seed.photons' must be non-negative")
-        amplitude = math.sqrt(photons)
-    elif "amplitude" in sec:
-        amplitude = sec["amplitude"].dimensionless()
+        amplitude = math.sqrt(sec["photons"])
     else:
-        amplitude = 0.0
+        amplitude = sec.get("amplitude", 0.0)
 
     if "bandwidth" in sec and "eta" in sec:
         raise ConfigError("[seed] takes 'bandwidth' or 'eta', not both")
     if "eta" in sec:
-        eta = sec["eta"].dimensionless()
-        if eta <= 0:
+        if sec["eta"] <= 0:
             raise ConfigError("'seed.eta' must be positive")
-        bandwidth = pump.bandwidth / math.sqrt(eta)
+        bandwidth = pump.bandwidth / math.sqrt(sec["eta"])
     elif "bandwidth" in sec:
-        bandwidth = sec["bandwidth"].bandwidth()
+        bandwidth = sec["bandwidth"]
     else:
         raise ConfigError("[seed] is missing 'bandwidth' (or 'eta')")
 
     if "frequency" in sec:
-        omega_seed = sec["frequency"].angular_frequency()
         omega_deg = 0.5 * pump.omega
-        if abs(omega_seed - omega_deg) > 1e-9 * omega_deg:
+        if abs(sec["frequency"] - omega_deg) > 1e-9 * omega_deg:
             raise ConfigError(
                 "'seed.frequency' must equal the degenerate frequency "
                 f"{omega_deg:.9g} rad/s"
             )
 
-    ways = [k for k in ("shift_x", "kx", "g_factor") if k in sec]
-    if len(ways) > 1:
+    if sum(any(k in sec for k in style) for style in _SHIFT_STYLES) > 1:
         raise ConfigError(
             "[seed] shift is over-specified; give shift_x/shift_y, kx/ky "
             "or g_factor, but only one style"
         )
-    shift = (0.0, 0.0)
-    g_factor = None
-    if "g_factor" in sec:
-        g_factor = sec["g_factor"].dimensionless()
-    elif "kx" in sec or "ky" in sec:
-        shift = (
-            sec["kx"].wavenumber() if "kx" in sec else 0.0,
-            sec["ky"].wavenumber() if "ky" in sec else 0.0,
-        )
-    elif "shift_x" in sec or "shift_y" in sec:
-        sx = sec["shift_x"].length() if "shift_x" in sec else 0.0
-        sy = sec["shift_y"].length() if "shift_y" in sec else 0.0
-        shift = (k_deg * sx / focal, k_deg * sy / focal)
+    shift = (sec.get("kx", 0.0), sec.get("ky", 0.0))
+    if "shift_x" in sec or "shift_y" in sec:
+        shift = (k_deg * sec.get("shift_x", 0.0) / focal, k_deg * sec.get("shift_y", 0.0) / focal)
 
+    _required(sec, "seed", "waist")
     return SeedConfig(
         amplitude=amplitude,
-        waist=sec["waist"].length() if "waist" in sec else _missing("seed", "waist"),
+        waist=sec["waist"],
         bandwidth=bandwidth,
-        phase=sec["phase"].angle() if "phase" in sec else 0.0,
+        phase=sec.get("phase", 0.0),
         shift=shift,
-        g_factor=g_factor,
+        g_factor=sec.get("g_factor"),
     )
-
-
-def _missing(section: str, key: str):
-    raise ConfigError(f"[{section}] is missing '{key}'")
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -500,43 +483,16 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required section [{name}]")
 
     pump = _pump_from_section(sections["pump"])
-
-    xsec = sections["crystal"]
-    for key in ("length", "cross_section"):
-        if key not in xsec:
-            _missing("crystal", key)
-    crystal = CrystalConfig(
-        length=xsec["length"].length(),
-        cross_section=xsec["cross_section"].area(),
-        refractive_index=(
-            xsec["refractive_index"].dimensionless()
-            if "refractive_index" in xsec
-            else 1.0
-        ),
-        pdc_angle=xsec["pdc_angle"].angle() if "pdc_angle" in xsec else 0.0,
-        squeezing=(
-            xsec["squeezing"].dimensionless() if "squeezing" in xsec else None
-        ),
-    )
-
-    dsec = sections["detector"]
-    for key in ("focal_length", "aperture", "bandwidth"):
-        if key not in dsec:
-            _missing("detector", key)
-    detector = DetectorConfig(
-        focal_length=dsec["focal_length"].length(),
-        aperture=dsec["aperture"].length(),
-        bandwidth=dsec["bandwidth"].bandwidth(),
-    )
-
+    # the [crystal] and [detector] keys are the dataclass fields
+    crystal = CrystalConfig(**_required(sections["crystal"], "crystal", "length",
+                                        "cross_section"))
+    detector = DetectorConfig(**_required(sections["detector"], "detector", "focal_length",
+                                          "aperture", "bandwidth"))
     k_deg = 0.5 * pump.omega / SPEED_OF_LIGHT  # vacuum wavenumber at degeneracy
     seed = _seed_from_section(sections["seed"], pump, k_deg, detector.focal_length)
 
-    run = {}
-    for key, q in sections.get("run", {}).items():
-        run[key] = q.value if q.unit is None else (q.value, q.unit)
-
-    cfg = ExperimentConfig(pump=pump, seed=seed, crystal=crystal, detector=detector, run=run)
+    cfg = ExperimentConfig(pump=pump, seed=seed, crystal=crystal, detector=detector,
+                           run=sections.get("run", {}))
     cfg.derive()  # surfaces inconsistent squeezing/amplitude settings early
     return cfg
 

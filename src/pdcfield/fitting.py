@@ -41,6 +41,13 @@ def combined_intensity(
     )
 
 
+def checked_exposure(exposure: float) -> float:
+    """``exposure``, the model-to-counts scale, if it is finite and positive."""
+    if not (math.isfinite(exposure) and exposure > 0):
+        raise ValueError(f"exposure must be finite and positive, got {exposure!r}")
+    return exposure
+
+
 @dataclass
 class IntensityImage:
     """Pixel map of mean photon counts over a regular output-plane grid."""
@@ -63,28 +70,25 @@ class IntensityImage:
             raise ValueError("intensity values must be finite")
         if np.any(self.values < 0):
             raise ValueError("intensity values must be non-negative")
+        checked_exposure(self.exposure)
 
 
 @dataclass
 class SeparableBasis:
     """Basis images of one geometry at seed photons n = 1 and gain xi = 1.
 
-    ``intensity(n, xi)`` is n * gain * sum_b |A_b(xi)|^2 + xi^2 * d, where
-    ``polys`` holds the field polynomials A_b and ``background`` holds d.
+    ``intensity(n, xi)`` is n * sum_k coefficients[k] xi^k + xi^2 * d.
     ``coefficients`` holds gain * q_k, the real images of
-    ``intensity_coefficients`` formed once, so an (n, xi) evaluation is a
-    real Horner pass, eight real array operations for seed plus idler. It
-    rounds to eps * n * gain * sum_b (sum_j |c_j| xi^j)^2, not eps times the
-    intensity, so precision is absolute where signal and idler cancel.
+    ``intensity_coefficients`` scaled by the detector gain, and
+    ``background`` holds d, so an (n, xi) evaluation is a real Horner
+    pass, eight real array operations for seed plus idler. It rounds to
+    eps * n * gain * sum_b (sum_j |c_j| xi^j)^2, where c_j are the field
+    polynomials' coefficients, not eps times the intensity, so precision
+    is absolute where signal and idler cancel.
     """
 
-    polys: list
-    gain: float                 # detector gain, |amplitude|^2 to photon counts
+    coefficients: list
     background: np.ndarray
-    coefficients: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.coefficients = [self.gain * q for q in intensity_coefficients(self.polys)]
 
     @staticmethod
     def _check(photons, squeezing):
@@ -121,7 +125,9 @@ class ForwardModel:
                                            **geometry))
         polys = field_polynomials(kern, X0, mode=self.mode, model=self.model,
                                   m_max=self.m_max)
-        return SeparableBasis(polys, kern.q.detector_gain, background_intensity(kern, X0))
+        gain = kern.q.detector_gain
+        return SeparableBasis([gain * q for q in intensity_coefficients(polys)],
+                              background_intensity(kern, X0))
 
     def intensity(self, X0, **overrides) -> np.ndarray:
         photons = overrides.pop("seed_photons", self.cfg.seed.photons)
@@ -144,8 +150,7 @@ def synthesize_image(
     Poisson counts are drawn with mean equal to the model value times
     ``exposure``; a fixed seed gives identical images on every call.
     """
-    if exposure <= 0:
-        raise ValueError("exposure must be positive")
+    checked_exposure(exposure)
     X0 = np.stack(np.meshgrid(x, y), axis=-1)
     mean = model.intensity(X0, **overrides) * exposure
     if noise == "none":
@@ -194,7 +199,8 @@ def fit_parameters(
     (or ``fixed``) values.  ``status`` is 'converged' (and ``converged``
     True) only when an accepted step's relative size falls below ``XTOL``;
     'stalled' when 25 damping increases find no step that lowers the cost.
-    Raises ValueError if the model counts are not finite.
+    Raises ValueError if ``image.exposure`` is not finite and positive or
+    the model counts are not finite.
     """
     free = tuple(free)
     if not free:
@@ -222,7 +228,7 @@ def fit_parameters(
 
     X0 = image.positions()
     data = image.values.ravel()
-    scale = image.exposure
+    scale = checked_exposure(image.exposure)
 
     latest = {}  # geometry and basis of the latest evaluation
 

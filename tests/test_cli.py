@@ -323,3 +323,28 @@ def test_fit_rejects_bad_parameter_arguments(tmp_path, config_path, capsys, flag
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}") and "Traceback" not in err
     assert not (tmp_path / "fit.csv").exists()
+
+
+def test_non_finite_config_value_usage_error(tmp_path, config_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(open(config_path).read().replace("squeezing = 1.0", "squeezing = nan"))
+    code = main(["--outdir", str(tmp_path), "validate", "--config", str(bad), "--no-svg"])
+    assert code == 2
+    assert "value of 'squeezing' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "validate.csv").exists()
+
+
+@pytest.mark.parametrize("exposure", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["image", "fit"])
+def test_bad_exposure_usage_error(tmp_path, config_path, capsys, command, exposure):
+    # image used to end in a traceback; fit used to fit anyway, or end in one
+    assert main(["--outdir", str(tmp_path / "src"), "image", "--config", config_path,
+                 "--nx", "8", "--ny", "4", "--no-svg"]) == 0
+    capsys.readouterr()
+    extra = ["--image", str(tmp_path / "src" / "image.csv")] if command == "fit" else []
+    code = main(["--outdir", str(tmp_path), command, "--config", config_path, *extra,
+                 f"--exposure={exposure}", "--no-svg"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --exposure") and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv"))

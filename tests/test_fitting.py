@@ -17,7 +17,7 @@ from pdcfield.fitting import (
     synthesize_image,
     fit_parameters,
 )
-from pdcfield.stimulated import zeta2_tca, zeta_branches, zeta_orders
+from pdcfield.stimulated import field_polynomials, zeta2_tca, zeta_branches, zeta_orders
 from pdcfield.background import background_intensity, background_radial
 
 
@@ -354,12 +354,14 @@ def test_basis_matches_complex_evaluation_property(
     # |.|^2; ``bound`` replaces each coefficient by its modulus, the scale of
     # the rounding of any sum of |A_b|^2, which may cancel where signal and
     # idler interfere
+    kern = FieldKernels(with_overrides(cfg, seed_photons=1.0, squeezing=1.0))
+    gain = kern.q.detector_gain
     field = bound = 0.0
-    for coeffs in basis.polys:
+    for coeffs in field_polynomials(kern, X0, mode=mode, model=model_name):
         field = field + np.abs(sum(c * xi**j for j, c in enumerate(coeffs))) ** 2
         bound = bound + sum(np.abs(c) * xi**j for j, c in enumerate(coeffs)) ** 2
-    want = photons * basis.gain * field + xi**2 * basis.background
-    scale = photons * basis.gain * bound + xi**2 * basis.background
+    want = photons * gain * field + xi**2 * basis.background
+    scale = photons * gain * bound + xi**2 * basis.background
     assert np.all(np.abs(basis.intensity(photons, xi) - want) <= 1e-12 * scale)
 
     xi_c = max(xi, 0.05)
@@ -395,6 +397,19 @@ def test_fit_builds_kernels_once(model, axes, monkeypatch):
     result = fit_parameters(model, img, init={"seed_photons": 3.0, "squeezing": 0.8})
     assert result.converged
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("exposure", [0.0, -2.0, math.nan, math.inf])
+def test_bad_exposure_rejected(model, axes, exposure):
+    x, y = axes
+    with pytest.raises(ValueError, match="exposure"):
+        synthesize_image(model, x, y, exposure=exposure)
+    img = synthesize_image(model, x, y, exposure=40.0)
+    with pytest.raises(ValueError, match="exposure"):
+        IntensityImage(x=img.x, y=img.y, values=img.values, exposure=exposure)
+    img.exposure = exposure  # a fit used to run, and report, on such an image
+    with pytest.raises(ValueError, match="exposure"):
+        fit_parameters(model, img)
 
 
 def test_non_finite_model_rejected(model, axes, monkeypatch):
