@@ -1,24 +1,23 @@
 """Experiment configuration: parsing, validation and derived constants.
 
 All quantities are stored internally in SI units (m, s, rad/s).  Config
-files are INI-style documents with sections [pump], [seed], [crystal],
-[detector] and an optional free-form [run] section.  One table,
-``_SCHEMA``, names the keys of each section and the unit kind of each
-key (length, angle, area, wavenumber, angular frequency, bandwidth or
-dimensionless).  The parser converts each value to SI as it reads it:
-a dimensioned value must carry a unit suffix of its kind (e.g.
-``waist = 0.2 mm``), a bandwidth may be given as a duration, read as
-its reciprocal, and every number must be finite.  An unknown section,
-or an unknown key in any section but [run], is an error, so a
-misspelled key is never silently ignored.  The section builders then
-apply the rules between keys, such as the pump's one frequency and the
-seed's one shift style.
+files are INI-style documents with sections [pump], [seed], [crystal]
+and [detector].  One table, ``_SCHEMA``, names the keys of each section
+and the unit kind of each key (length, angle, area, wavenumber, angular
+frequency, bandwidth or dimensionless).  The parser converts each value
+to SI as it reads it: a dimensioned value must carry a unit suffix of
+its kind (e.g. ``waist = 0.2 mm``), a bandwidth may be given as a
+duration, read as its reciprocal, and every number must be finite.  An
+unknown section or an unknown key is an error, so a misspelled key or a
+section nothing reads is never silently ignored.  The section builders
+then apply the rules between keys, such as the pump's one frequency and
+the seed's one shift style.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -38,8 +37,7 @@ _UNITS = {
     "dimensionless": None,
 }
 
-# The keys each section accepts and the unit kind of each; [run] is
-# free-form (None)
+# The keys each section accepts and the unit kind of each
 _SCHEMA = {
     "pump": {
         "wavelength": "length", "degenerate_wavelength": "length",
@@ -57,7 +55,6 @@ _SCHEMA = {
         "pdc_angle": "angle", "squeezing": "dimensionless",
     },
     "detector": {"focal_length": "length", "aperture": "length", "bandwidth": "bandwidth"},
-    "run": None,
 }
 
 
@@ -109,8 +106,7 @@ def _parse_document(text: str) -> dict[str, dict]:
 
     An unknown section, an unknown key of a known section or a value
     that does not fit its key's unit kind raises ConfigError naming it
-    and its line.  A [run] value stays a number, or a (number, unit) pair
-    when it carries a unit."""
+    and its line."""
     sections: dict[str, dict] = {}
     current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,7 +136,7 @@ def _parse_document(text: str) -> dict[str, dict]:
         rhs = rhs.strip().strip('"').strip("'").strip()
         if not key:
             raise ConfigError(f"line {lineno}: missing key before '='")
-        if kinds is not None and key not in kinds:
+        if key not in kinds:
             raise ConfigError(
                 f"line {lineno}: unknown key '{key}' in [{name}] "
                 f"(expected one of {', '.join(sorted(kinds))})"
@@ -152,10 +148,7 @@ def _parse_document(text: str) -> dict[str, dict]:
         unit = parts[1].strip() if len(parts) == 2 else None
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        if kinds is None:
-            current[key] = value if unit is None else (value, unit)
-        else:
-            current[key] = _to_si(key, value, unit, kinds[key], lineno)
+        current[key] = _to_si(key, value, unit, kinds[key], lineno)
     return sections
 
 
@@ -251,7 +244,6 @@ class ExperimentConfig:
     seed: SeedConfig
     crystal: CrystalConfig
     detector: DetectorConfig
-    run: dict = field(default_factory=dict)
 
     def derive(self) -> "DerivedQuantities":
         return derive_quantities(self)
@@ -491,8 +483,7 @@ def load_config(text: str) -> ExperimentConfig:
     k_deg = 0.5 * pump.omega / SPEED_OF_LIGHT  # vacuum wavenumber at degeneracy
     seed = _seed_from_section(sections["seed"], pump, k_deg, detector.focal_length)
 
-    cfg = ExperimentConfig(pump=pump, seed=seed, crystal=crystal, detector=detector,
-                           run=sections.get("run", {}))
+    cfg = ExperimentConfig(pump=pump, seed=seed, crystal=crystal, detector=detector)
     cfg.derive()  # surfaces inconsistent squeezing/amplitude settings early
     return cfg
 
@@ -527,6 +518,4 @@ def with_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
             seed = replace(seed, g_factor=float(value))
         else:
             raise ConfigError(f"unknown override {key!r}")
-    return ExperimentConfig(
-        pump=pump, seed=seed, crystal=crystal, detector=cfg.detector, run=dict(cfg.run)
-    )
+    return ExperimentConfig(pump=pump, seed=seed, crystal=crystal, detector=cfg.detector)

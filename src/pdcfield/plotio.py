@@ -3,8 +3,13 @@
 Output is deterministic, so identical runs produce byte-identical files.
 ``write_csv`` takes one column per header field: a ``str`` column is written
 as it is, any other as float64 by ``format_number`` (``f"{v:.12g}"``, also
-``nan``, ``inf``, ``-inf``, ``-0``), once per distinct bit pattern.
-``read_csv`` returns the header and a 2-D float array.
+``nan``, ``inf``, ``-inf``, ``-0``), once per distinct bit pattern.  Each
+formatted value carries its separator (``,``, or a newline after the last
+field), so the body is one ``"".join`` over a (rows, fields) array of
+strings.  The bytes are those of the row-by-row writer, which the tests
+keep as ``per_row_reference``.  ``read_csv`` reads the header line, then
+hands the path to ``np.loadtxt``, which opens the file itself, and returns
+the header and a 2-D float array.
 """
 
 from __future__ import annotations
@@ -20,26 +25,32 @@ def format_number(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _format_column(column) -> list[str]:
+def _format_column(column, end: str) -> np.ndarray:
+    """The column's fields as an object array of strings, each ending in ``end``."""
     values = np.asarray(column)
     if values.dtype.kind == "U":
-        return values.tolist()
+        return np.array([v + end for v in values.tolist()], dtype=object)
     bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
-    text = np.array([format_number(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+    text = np.array([format_number(v) + end for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse]
 
 
 def write_csv(path, header: list[str], columns) -> Path:
     """Write a table; ``columns`` holds one equal-length sequence per header field."""
-    columns = [_format_column(c) for c in columns]
-    if len(columns) != len(header) or len({len(c) for c in columns}) != 1:
+    if len(columns) != len(header):
         raise ValueError(f"expected {len(header)} columns of equal length")
-    if not columns[0]:
+    ends = [","] * (len(header) - 1) + ["\n"]
+    columns = [_format_column(c, end) for c, end in zip(columns, ends)]
+    if len({c.size for c in columns}) != 1:
+        raise ValueError(f"expected {len(header)} columns of equal length")
+    if not columns[0].size:
         raise ValueError("refusing to write an empty table")
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+    cells = np.stack(columns, axis=1)  # (rows, fields), row-major as written
     path = Path(path)
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        path.write_text(",".join(header) + "\n" + "".join(cells.ravel().tolist()),
+                        encoding="ascii")
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
     return path
@@ -49,10 +60,11 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read back an all-numeric table as (header, array of shape (rows, fields))."""
     path = Path(path)
     try:
-        with path.open(encoding="ascii") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a table without rows fails below
+        with path.open(encoding="ascii") as fh:
             header = fh.readline().rstrip("\r\n").split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a table without rows fails below
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1, encoding="ascii")
     except OSError as exc:
         raise OSError(f"cannot read CSV {path}: {exc}") from exc
     except ValueError as exc:  # a ragged row, a non-numeric token, non-ASCII bytes

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ def test_unknown_config_key_usage_error(tmp_path, config_path, capsys):
     code = main(["--outdir", str(tmp_path), "validate", "--config", str(bad), "--no-svg"])
     assert code == 2
     assert "unknown key 'pdc_angel' in [crystal]" in capsys.readouterr().err
+
+
+def test_run_section_usage_error(tmp_path, config_path, capsys):
+    # [run] was parsed and read by nothing, so its keys were silently ignored
+    bad = tmp_path / "run.cfg"
+    bad.write_text(open(config_path).read() + "\n[run]\nexposure = 50\n")
+    code = main(["--outdir", str(tmp_path), "validate", "--config", str(bad), "--no-svg"])
+    assert code == 2
+    assert "unknown section [run]" in capsys.readouterr().err
+    assert not (tmp_path / "validate.csv").exists()
 
 
 def test_efficiency_csv(tmp_path):
@@ -301,6 +312,41 @@ def test_fit_rejects_malformed_image_csv(tmp_path, config_path, capsys, body):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+MALFORMED_BODIES = {
+    # past the first read buffer of a text handle, so np.loadtxt meets it
+    "non-ascii": "0,0,1\n" * 3000 + "1,0,2\u00b5\n",
+    "ragged": "0,0,1\n1,0\n",
+    "header-only": "",
+    "non-numeric": "0,0,1\n1,0,abc\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+def test_read_csv_errors_name_the_path(tmp_path, config_path, capsys, body):
+    path = tmp_path / "frame.csv"
+    path.write_bytes(("x_mm,y_mm,intensity\n" + body).encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_csv(path)
+    code = main([
+        "--outdir", str(tmp_path), "fit", "--config", config_path,
+        "--image", str(path), "--no-svg",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+
+def test_read_csv_crlf_equals_lf(tmp_path):
+    lf = write_csv(tmp_path / "lf.csv", ["a", "b"],
+                   [[1.5, -0.0, 3.0], [2.25e-7, float("nan"), float("-inf")]])
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    (h_lf, a_lf), (h_crlf, a_crlf) = read_csv(lf), read_csv(crlf)
+    assert h_crlf == h_lf == ["a", "b"]
+    assert np.array_equal(a_crlf, a_lf, equal_nan=True)
+    assert np.array_equal(np.signbit(a_crlf), np.signbit(a_lf))
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcfield.config import with_overrides, seed_shift
 from pdcfield.kernels import FieldKernels
@@ -264,6 +265,17 @@ def test_efficiency_series_seam():
         assert abs(_f_series(a0, beta) - efficiency_f(a0, beta)) / efficiency_f(
             a0, beta
         ) < 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(beta=st.floats(min_value=0.0, max_value=1e6), sign=st.sampled_from([1.0, -1.0]))
+def test_efficiency_continuous_across_series_seam(beta, sign):
+    # |a| < SERIES_CROSSOVER takes the series, the edge itself the direct
+    # form; over beta in [0, 1e6] the widest jump is 7e-13 relative, near 2.4
+    edge = sign * SERIES_CROSSOVER
+    series_side = efficiency_f(np.nextafter(edge, 0.0), beta)
+    direct_side = efficiency_f(edge, beta)
+    assert abs(direct_side - series_side) <= 1e-11 * direct_side
 
 
 def test_efficiency_matches_series_near_crossover():
