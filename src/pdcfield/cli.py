@@ -150,25 +150,30 @@ def cmd_image(args) -> int:
     return 0
 
 
+IMAGE_LAYOUT = ("one row per pixel, y-major with x varying fastest, the same x values "
+                "in every image row and both axes strictly increasing, as `image` writes")
+
+
 def _read_image(path, exposure: float = 1.0) -> IntensityImage:
+    """The frame of an image CSV, read in one pass in the layout `image` writes."""
     try:
         header, arr = read_csv(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if header != ["x_mm", "y_mm", "intensity"]:
         raise ConfigError(f"{path}: expected header x_mm,y_mm,intensity")
-    x, xi = np.unique(arr[:, 0], return_inverse=True)
-    y, yi = np.unique(arr[:, 1], return_inverse=True)
-    cell = yi * x.size + xi
-    filled = np.zeros(x.size * y.size, dtype=bool)
-    filled[cell] = True
-    if cell.size != filled.size or not filled.all():  # a missing or repeated pixel
-        raise ConfigError(f"{path}: image grid is not complete/regular")
-    values = np.empty(filled.size)
-    values[cell] = arr[:, 2]
+    ys = arr[:, 1]
+    nx = int(np.argmax(ys != ys[0])) or ys.size  # the first row where y changes
+    if ys.size % nx:
+        raise ConfigError(f"{path}: expected {IMAGE_LAYOUT}")
+    grid = arr.reshape(ys.size // nx, nx, 3)
+    x, y = grid[0, :, 0], grid[:, 0, 1]
+    if not (np.all(grid[:, :, 0] == x) and np.all(grid[:, :, 1] == y[:, None])
+            and np.all(x[1:] > x[:-1]) and np.all(y[1:] > y[:-1])):
+        raise ConfigError(f"{path}: expected {IMAGE_LAYOUT}")
     try:
-        return IntensityImage(x=x * 1e-3, y=y * 1e-3, values=values.reshape(y.size, x.size),
-                              exposure=exposure)
+        return IntensityImage(x=x * 1e-3, y=y * 1e-3,
+                              values=np.ascontiguousarray(grid[:, :, 2]), exposure=exposure)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -108,6 +108,24 @@ class SeparableBasis:
         per_photon, slope = coefficient_intensity(self.coefficients, squeezing, derivative=True)
         return per_photon, photons * slope + 2.0 * squeezing * self.background
 
+    def images(self, shape) -> list:
+        """[*coefficients, background] as flat arrays of ``shape``'s size, so
+        the intensity is sum_i image_weights[i] * images[i] before the clip."""
+        return [np.ravel(np.broadcast_to(image, shape))
+                for image in (*self.coefficients, self.background)]
+
+    def image_weights(self, photons: float, squeezing: float) -> np.ndarray:
+        """(n, n xi, n xi^2, ..., xi^2), the weights of ``images``."""
+        self._check(photons, squeezing)
+        return np.append(photons * squeezing ** np.arange(len(self.coefficients)), squeezing**2)
+
+    def weight_derivatives(self, photons: float, squeezing: float):
+        """Partial derivatives of ``image_weights`` in n and in xi."""
+        self._check(photons, squeezing)
+        k = np.arange(len(self.coefficients))
+        d_squeezing = photons * k * squeezing ** np.maximum(k - 1, 0)
+        return (np.append(squeezing**k, 0.0), np.append(d_squeezing, 2.0 * squeezing))
+
 
 class ForwardModel:
     """Evaluates the combined intensity for parameter overrides."""
@@ -179,6 +197,151 @@ class FitResult:
     iterations: int
 
 
+def weighted_gram(weights: np.ndarray, columns) -> np.ndarray:
+    """M[i, j] = sum_p weights[p] * columns[i][p] * columns[j][p] for flat ``columns``.
+
+    One product weights * columns[i] per row, into a reused buffer, and one
+    dot product per entry on the arrays as they are, so no stacked copy of
+    the columns is made.
+    """
+    gram = np.empty((len(columns), len(columns)))
+    weighted = np.empty_like(weights)
+    for i, column in enumerate(columns):
+        np.multiply(weights, column, out=weighted)
+        for j in range(i, len(columns)):
+            gram[i, j] = gram[j, i] = weighted @ columns[j]
+    return gram
+
+
+class WeightedFit:
+    """Weighted least squares of one image, held at its latest accepted point.
+
+    ``free`` names the entries of ``theta``; every other parameter is pinned
+    at ``fixed`` or the config value.  Between accepted points the weights
+    w = 1/max(mu, 1) are fixed and the counts are linear in the basis images
+    (``SeparableBasis.image_weights``), so every sum that IRLS needs is a
+    quadratic form in the Gram M = C^T W C of the columns C = [basis images,
+    one central-difference image per free geometry parameter, residual r]
+    (weighted normal equations; McCullagh and Nelder, *Generalized Linear
+    Models*, 1989).  With ``lift`` L taking a parameter step to weights of
+    the other columns, J = C[:, :-1] L, J^T W J = L^T M[:-1, :-1] L and
+    J^T W r = L^T M[:-1, -1].
+    """
+
+    BOUNDS = {
+        "seed_photons": (0.0, math.inf),
+        "squeezing": (0.0, math.inf),
+        "seed_waist": (1e-9, math.inf),
+        "pdc_angle": (0.0, math.pi / 2 * 0.999),
+    }
+
+    def __init__(self, model: ForwardModel, image: IntensityImage, free, fixed=None):
+        self.model = model
+        self.free = tuple(free)
+        self.fixed = dict(fixed or {})
+        self.defaults = {
+            "seed_photons": model.cfg.seed.photons,
+            "squeezing": model.cfg.derive().squeezing,
+            "seed_waist": model.cfg.seed.waist,
+            "pdc_angle": model.cfg.crystal.pdc_angle,
+        }
+        self.X0 = image.positions()
+        self.data = image.values.ravel()
+        self.scale = checked_exposure(image.exposure)
+
+    def clip(self, theta) -> np.ndarray:
+        return np.array([min(max(val, self.BOUNDS[name][0]), self.BOUNDS[name][1])
+                         for name, val in zip(self.free, theta)], dtype=float)
+
+    def _split(self, theta):
+        """(geometry overrides, seed photons, squeezing) at ``theta``."""
+        geometry = {**self.fixed, **dict(zip(self.free, theta))}
+        photons = geometry.pop("seed_photons", self.defaults["seed_photons"])
+        squeezing = geometry.pop("squeezing", self.defaults["squeezing"])
+        return geometry, photons, squeezing
+
+    def counts(self, theta, basis: SeparableBasis | None = None) -> np.ndarray:
+        """Model counts at ``theta``, from ``basis`` if it is theta's geometry's."""
+        geometry, photons, squeezing = self._split(theta)
+        if basis is None:
+            basis = self.model.basis(self.X0, **geometry)
+        mu = basis.intensity(photons, squeezing).ravel()
+        mu *= self.scale
+        if not np.all(np.isfinite(mu)):
+            raise ValueError(f"model counts are not finite at {dict(zip(self.free, theta))}")
+        return mu
+
+    def accept(self, theta, basis: SeparableBasis | None = None, mu: np.ndarray | None = None):
+        """Move to ``theta`` and weigh by its counts; a trial passes the basis
+        and counts it formed."""
+        if basis is None:
+            basis = self.model.basis(self.X0, **self._split(theta)[0])
+        self.theta, self.basis = theta, basis
+        self.mu = self.counts(theta, basis) if mu is None else mu
+        self.residual = self.data - self.mu
+        self.weights = np.reciprocal(np.maximum(self.mu, 1.0))
+
+    @property
+    def cost(self) -> float:
+        return float(self.residual @ (self.weights * self.residual))
+
+    def normal_equations(self):
+        """J^T W J and J^T W r at the accepted point, from its Gram."""
+        _, photons, squeezing = self._split(self.theta)
+        columns = self.basis.images(self.X0.shape[:-1])
+        analytic = dict(zip(("seed_photons", "squeezing"),
+                            self.basis.weight_derivatives(photons, squeezing)))
+        geometric = [j for j, name in enumerate(self.free) if name not in analytic]
+        self.lift = np.zeros((len(columns) + len(geometric), len(self.free)))
+        for j, name in enumerate(self.free):
+            if name in analytic:
+                self.lift[:len(columns), j] = self.scale * analytic[name]
+        for row, j in enumerate(geometric, start=len(columns)):
+            self.lift[row, j] = 1.0
+            columns.append(self._difference(j))
+        self.gram = weighted_gram(self.weights, [*columns, self.residual])
+        return (self.lift.T @ self.gram[:-1, :-1] @ self.lift,
+                self.lift.T @ self.gram[:-1, -1])
+
+    def _difference(self, j: int) -> np.ndarray:
+        """Central difference of the counts in free parameter ``j``: a 1e-4
+        relative step, one-sided at an active bound, each side a new basis."""
+        step = 1e-4 * max(abs(self.theta[j]), 1e-12)
+        tp, tm = self.theta.copy(), self.theta.copy()
+        tp[j] += step
+        tm[j] -= step
+        tp, tm = self.clip(tp), self.clip(tm)
+        denom = tp[j] - tm[j]
+        if denom == 0.0:
+            return np.zeros_like(self.data)
+        column = self.counts(tp)
+        column -= self.counts(tm)
+        column /= denom
+        return column
+
+    def trial(self, theta):
+        """(cost change to ``theta`` under the accepted weights, theta's basis,
+        theta's counts or None).
+
+        At the accepted geometry the change is s^T M s - 2 s^T m, with s the
+        step of the image weights and m = C^T W r; a new geometry takes its
+        basis and one pass, sum w e (e - 2 r) with e the change of the counts.
+        """
+        geometry, photons, squeezing = self._split(theta)
+        here, photons0, squeezing0 = self._split(self.theta)
+        if geometry == here:
+            new = self.basis.image_weights(photons, squeezing)
+            step = np.zeros(len(self.lift))
+            step[:new.size] = self.scale * (new - self.basis.image_weights(photons0, squeezing0))
+            inner, cross = self.gram[:-1, :-1], self.gram[:-1, -1]
+            return float(step @ inner @ step - 2.0 * (step @ cross)), self.basis, None
+        basis = self.model.basis(self.X0, **geometry)
+        mu = self.counts(theta, basis)
+        change = mu - self.mu
+        weighted = self.weights * change
+        return float(weighted @ change - 2.0 * (weighted @ self.residual)), basis, mu
+
+
 def fit_parameters(
     model: ForwardModel,
     image: IntensityImage,
@@ -190,17 +353,27 @@ def fit_parameters(
     """Recover parameters from an intensity image.
 
     Weighted least squares with per-pixel weights 1/max(counts_model, 1)
-    (shot-noise variance) and a damped Gauss-Newton loop.  Every evaluation
-    reuses the separable basis of the current geometry, so a fit of seed
-    photons and squeezing builds it once and takes their Jacobian columns
-    analytically; ``seed_waist`` and ``pdc_angle`` columns are central
-    differences with a 1e-4 relative step, each side a new basis.  ``free``
-    names the parameters to vary; everything else is pinned at the config
-    (or ``fixed``) values.  ``status`` is 'converged' (and ``converged``
-    True) only when an accepted step's relative size falls below ``XTOL``;
-    'stalled' when 25 damping increases find no step that lowers the cost.
-    Raises ValueError if ``image.exposure`` is not finite and positive or
-    the model counts are not finite.
+    (shot-noise variance) and a damped Gauss-Newton loop, the weights
+    refreshed at each accepted point.  ``free`` names the parameters to
+    vary; everything else is pinned at the config (or ``fixed``) values.
+
+    One iteration makes one pass over the frame: the counts at the
+    accepted point (a Horner pass over the separable basis), its weights and
+    residual, and the weighted Gram of the k basis images (k = 4 for the
+    default seed plus idler), one column per free geometry parameter and the
+    residual, in k + g + 1 products and (k + g + 1)(k + g + 2)/2 dot
+    products.  J^T W J, the gradient and the cost of every damped trial at
+    the same geometry come from that matrix, so a fit of seed photons and
+    squeezing builds its basis once and takes their Jacobian columns
+    analytically.  Each free ``seed_waist`` or ``pdc_angle`` column is a
+    central difference with a 1e-4 relative step, each side a new basis,
+    and a trial that moves it costs its basis and one pass.
+
+    ``status`` is 'converged' (and ``converged`` True) only when an accepted
+    step's relative size falls below ``XTOL``; 'stalled' when 25 damping
+    increases find no step that lowers the cost.  Raises ValueError if
+    ``image.exposure`` is not finite and positive or the model counts are
+    not finite.
     """
     free = tuple(free)
     if not free:
@@ -211,54 +384,9 @@ def fit_parameters(
     if not np.any(image.values > 0):
         raise ValueError("image is identically zero; nothing to fit")
 
-    fixed = dict(fixed or {})
-    defaults = {
-        "seed_photons": model.cfg.seed.photons,
-        "squeezing": model.cfg.derive().squeezing,
-        "seed_waist": model.cfg.seed.waist,
-        "pdc_angle": model.cfg.crystal.pdc_angle,
-    }
-    init = {**defaults, **(init or {})}
-    bounds = {
-        "seed_photons": (0.0, math.inf),
-        "squeezing": (0.0, math.inf),
-        "seed_waist": (1e-9, math.inf),
-        "pdc_angle": (0.0, math.pi / 2 * 0.999),
-    }
-
-    X0 = image.positions()
-    data = image.values.ravel()
-    scale = checked_exposure(image.exposure)
-
-    latest = {}  # geometry and basis of the latest evaluation
-
-    def basis_at(theta):
-        geometry = {**fixed, **dict(zip(free, theta))}
-        photons = geometry.pop("seed_photons", defaults["seed_photons"])
-        squeezing = geometry.pop("squeezing", defaults["squeezing"])
-        if latest.get("geometry") != geometry:
-            latest.update(geometry=geometry, basis=model.basis(X0, **geometry))
-        return latest["basis"], photons, squeezing
-
-    def model_counts(theta):
-        basis, photons, squeezing = basis_at(theta)
-        mu = basis.intensity(photons, squeezing).ravel() * scale
-        if not np.all(np.isfinite(mu)):
-            raise ValueError(f"model counts are not finite at {dict(zip(free, theta))}")
-        return mu
-
-    def clip(theta):
-        out = []
-        for name, val in zip(free, theta):
-            lo, hi = bounds[name]
-            out.append(min(max(val, lo), hi))
-        return np.array(out)
-
-    theta = clip(np.array([init[name] for name in free], dtype=float))
-    mu = model_counts(theta)
-    weights = 1.0 / np.maximum(mu, 1.0)
-    resid = data - mu
-    cost = float(np.sum(weights * resid**2))
+    problem = WeightedFit(model, image, free, fixed)
+    init = {**problem.defaults, **(init or {})}
+    problem.accept(problem.clip([init[name] for name in free]))
 
     lam = 1e-3
     status = "max_iterations"
@@ -266,32 +394,13 @@ def fit_parameters(
     iterations = 0
     jtj = None
     for iterations in range(1, max_iterations + 1):
-        basis, photons, squeezing = basis_at(theta)
-        d_photons, d_squeezing = basis.derivatives(photons, squeezing)
-        analytic = {"seed_photons": d_photons, "squeezing": d_squeezing}
-        jac = np.empty((data.size, len(free)))
-        for j, name in enumerate(free):
-            if name in analytic:
-                jac[:, j] = np.ravel(analytic[name]) * scale
-                continue
-            step = 1e-4 * max(abs(theta[j]), 1e-12)
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += step
-            tm[j] -= step
-            tp, tm = clip(tp), clip(tm)  # one-sided at an active bound
-            denom = tp[j] - tm[j]
-            if denom == 0.0:
-                jac[:, j] = 0.0
-                continue
-            jac[:, j] = (model_counts(tp) - model_counts(tm)) / denom
-        weighted = jac * weights[:, None]
-        jtj = weighted.T @ jac
-        grad = resid @ weighted  # weighted.T @ resid takes a slow matmul path
+        jtj, grad = problem.normal_equations()
         diag = np.diag(jtj).copy()
         if np.any(diag <= 0) or np.linalg.cond(jtj) > 1e14:
             status = "not_identifiable"
             break
 
+        theta = problem.theta
         accepted = False
         for _ in range(25):
             try:
@@ -299,15 +408,15 @@ def fit_parameters(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = clip(theta + delta)
-            mu_t = model_counts(trial)
-            cost_t = float(np.sum(weights * (data - mu_t) ** 2))
-            if cost_t <= cost:
+            trial = problem.clip(theta + delta)
+            change, basis, mu = problem.trial(trial)
+            if change <= 0.0:
                 step_size = float(
                     np.max(np.abs(trial - theta) / np.maximum(np.abs(theta), 1e-12))
                 )
-                theta, mu = trial, mu_t
-                resid = data - mu
+                # iteratively reweighted: the next pass weighs by the
+                # accepted model
+                problem.accept(trial, basis, mu)
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
                 if step_size < XTOL:
@@ -320,10 +429,6 @@ def fit_parameters(
             # the cost, which is not convergence
             status = "stalled"
             break
-        # iteratively reweighted: refresh the shot-noise weights at the
-        # accepted model before the next pass
-        weights = 1.0 / np.maximum(mu, 1.0)
-        cost = float(np.sum(weights * resid**2))
         if converged:
             break
 
@@ -339,9 +444,9 @@ def fit_parameters(
             errors = {}
 
     return FitResult(
-        parameters={name: float(val) for name, val in zip(free, theta)},
+        parameters={name: float(val) for name, val in zip(free, problem.theta)},
         errors=errors,
-        residual_norm=float(math.sqrt(cost)),
+        residual_norm=float(math.sqrt(problem.cost)),
         converged=converged,
         status=status,
         iterations=iterations,

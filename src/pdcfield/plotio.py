@@ -9,7 +9,8 @@ field), so the body is one ``"".join`` over a (rows, fields) array of
 strings.  The bytes are those of the row-by-row writer, which the tests
 keep as ``per_row_reference``.  ``read_csv`` reads the header line, then
 hands the path to ``np.loadtxt``, which opens the file itself, and returns
-the header and a 2-D float array.
+the header and a 2-D float array; a file it cannot read is named with its
+first bad line, counting the header as line 1.
 """
 
 from __future__ import annotations
@@ -68,10 +69,39 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     except OSError as exc:
         raise OSError(f"cannot read CSV {path}: {exc}") from exc
     except ValueError as exc:  # a ragged row, a non-numeric token, non-ASCII bytes
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_bad_line(path) or exc}") from None
     if data.size == 0 or data.shape[1] != len(header):
         raise ValueError(f"{path}: expected rows of {len(header)} fields under the header")
     return header, data
+
+
+def _bad_line(path: Path) -> str | None:
+    """Where ``np.loadtxt`` failed, as "line N: why" with the header as line 1.
+
+    Its own row numbers count neither the header nor, consistently, the rows
+    before the bad one, so the file is scanned again, on this error path only.
+    """
+    with path.open("rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("ascii")
+            except UnicodeDecodeError:
+                return f"line {number}: a non-ASCII byte"
+            if number == 1:
+                fields = len(text.split(","))
+                continue
+            text = text.split("#", 1)[0].strip()  # loadtxt drops comments and blank lines
+            if not text:
+                continue
+            tokens = text.split(",")
+            if len(tokens) != fields:
+                return f"line {number}: {len(tokens)} fields, expected {fields}"
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    return f"line {number}: {token.strip()!r} is not a number"
+    return None
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

@@ -319,6 +319,43 @@ def test_fit_rejects_malformed_image_csv(tmp_path, config_path, capsys, body):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("x_mm,y_mm,intensity\n0,0,1\n1,0\n0,1,1\n", 3),
+    ("x_mm,y_mm,intensity\n0,0,1\n1,0,abc\n0,1,1\n", 3),
+    ("x_\u00b5m,y_mm,intensity\n0,0,1\n", 1),
+], ids=["ragged", "non-numeric", "non-ascii-header"])
+def test_read_csv_names_the_bad_line(tmp_path, text, line):
+    # np.loadtxt numbers the first two "row 2" and "row 1"; the file line is 3
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: [rows[1], rows[0], *rows[2:]],
+    lambda rows: [*rows[:7], rows[6], *rows[7:]],
+    lambda rows: [*rows[:13], *rows[14:]],
+    lambda rows: rows[::-1],
+], ids=["permuted", "repeated-pixel", "missing-pixel", "reversed"])
+def test_read_image_rejects_other_layouts(tmp_path, config_path, capsys, edit):
+    assert main([
+        "--outdir", str(tmp_path), "image", "--config", config_path,
+        "--nx", "8", "--ny", "4", "--no-svg",
+    ]) == 0
+    header, *rows = (tmp_path / "image.csv").read_text().splitlines()
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    with pytest.raises(ConfigError, match="y-major with x varying fastest"):
+        _read_image(path)
+    capsys.readouterr()
+    assert main([
+        "--outdir", str(tmp_path), "fit", "--config", config_path,
+        "--image", str(path), "--no-svg",
+    ]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
 def test_read_csv_crlf_equals_lf(tmp_path):
     lf = write_csv(tmp_path / "lf.csv", ["a", "b"],
                    [[1.5, -0.0, 3.0], [2.25e-7, float("nan"), float("-inf")]])

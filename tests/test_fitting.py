@@ -13,6 +13,7 @@ from pdcfield.fitting import (
     ForwardModel,
     IntensityImage,
     SeparableBasis,
+    WeightedFit,
     combined_intensity,
     synthesize_image,
     fit_parameters,
@@ -210,14 +211,81 @@ def test_exhausted_damping_reports_stalled(model, axes, monkeypatch):
     # uphill and moves the parameters, so no step is ever accepted
     x, y = axes
     img = synthesize_image(model, x, y, noise="none", exposure=50.0)
-    derivatives = SeparableBasis.derivatives
-    monkeypatch.setattr(SeparableBasis, "derivatives", lambda self, photons, squeezing: tuple(
+    derivatives = SeparableBasis.weight_derivatives
+    monkeypatch.setattr(SeparableBasis, "weight_derivatives", lambda self, photons, squeezing: tuple(
         -1e-12 * d for d in derivatives(self, photons, squeezing)))
     result = fit_parameters(model, img, init={"seed_photons": 2.0, "squeezing": 0.5})
     assert result.status == "stalled"
     assert not result.converged
     assert result.iterations == 1
     assert result.parameters == {"seed_photons": 2.0, "squeezing": 0.5}
+
+
+TRUTH = {"seed_photons": 4.0, "squeezing": 1.0, "seed_waist": 0.2e-3, "pdc_angle": 10e-3}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("geometry", ["seed_waist", "pdc_angle"])
+def test_geometry_fit_converges(model, geometry, seed):
+    # the frame `pdcfield image --nx 96 --ny 24` lays out, started off the truth
+    # in every parameter
+    x = np.linspace(-1.5e-3, 1.5e-3, 96)
+    y = np.linspace(-0.375e-3, 0.375e-3, 24)
+    img = synthesize_image(model, x, y, noise="poisson", seed=seed, exposure=40.0)
+    result = fit_parameters(model, img, free=("seed_photons", "squeezing", geometry),
+                            init={"seed_photons": 3.0, "squeezing": 0.8,
+                                  geometry: 1.1 * TRUTH[geometry]})
+    assert result.status == "converged" and result.converged
+    assert result.iterations > 1
+    for name, value in result.parameters.items():
+        assert abs(value - TRUTH[name]) <= 3.0 * result.errors[name], name
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    photons=st.floats(0.5, 8.0),
+    xi=st.floats(0.2, 2.0),
+    geometry=st.sampled_from(["seed_waist", "pdc_angle"]),
+    offset=st.floats(-0.2, 0.2),
+    move=st.floats(-0.05, 0.05),
+)
+def test_gram_equals_explicit_sums(model, axes, photons, xi, geometry, offset, move):
+    x, y = axes
+    img = synthesize_image(model, x, y, noise="poisson", seed=4, exposure=40.0)
+    free = ("seed_photons", "squeezing", geometry)
+    theta = np.array([photons, xi, (1.0 + offset) * TRUTH[geometry]])
+    problem = WeightedFit(model, img, free)
+    problem.accept(theta)
+    jtj, grad = problem.normal_equations()
+
+    # test-owned: the model counts, weights and Jacobian formed on every pixel
+    X0 = img.positions()
+    basis = model.basis(X0, **{geometry: theta[2]})
+    mu = basis.intensity(photons, xi).ravel() * 40.0
+    w = 1.0 / np.maximum(mu, 1.0)
+    r = img.values.ravel() - mu
+    step = 1e-4 * theta[2]
+    sides = [model.intensity(X0, seed_photons=photons, squeezing=xi, **{geometry: g}).ravel()
+             for g in (theta[2] + step, theta[2] - step)]
+    jac = np.stack([*(40.0 * d.ravel() for d in basis.derivatives(photons, xi)),
+                    40.0 * (sides[0] - sides[1]) / (2.0 * step)], axis=1)
+    want_jtj = jac.T @ (w[:, None] * jac)
+    want_grad = jac.T @ (w * r)
+    cost = float(np.sum(w * r**2))
+
+    assert problem.gram[-1, -1] == pytest.approx(cost, rel=1e-10)
+    # entries against their Cauchy-Schwarz scales, which cancellation cannot shrink
+    diag = np.sqrt(np.diag(want_jtj))
+    assert np.all(np.abs(jtj - want_jtj) <= 1e-10 * np.outer(diag, diag))
+    assert np.all(np.abs(grad - want_grad) <= 1e-10 * diag * math.sqrt(cost))
+
+    # a damped trial's cost change, at the point's geometry (from the Gram)
+    # and at a new one (its basis and one pass), under the point's weights
+    for trial in (theta * [1.0 + move, 1.0 - move, 1.0], theta * (1.0 + move)):
+        overrides = dict(zip(free, trial))
+        mu_t = model.intensity(X0, **overrides).ravel() * 40.0
+        want = float(np.sum(w * (img.values.ravel() - mu_t) ** 2)) - cost
+        assert problem.trial(trial)[0] == pytest.approx(want, abs=1e-10 * cost)
 
 
 def test_separate_exposures_consistent(combined_cfg, axes):
