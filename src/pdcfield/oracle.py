@@ -448,8 +448,12 @@ class _BlockSpace:
             yield (basis @ right.reshape(nk, -1)).view(complex)
 
     def spread(self, blocks) -> np.ndarray:
-        size = self.nk * self.nw
-        return np.stack(list(self._spread_rows(blocks)), axis=1).reshape(size, size)
+        """The grid matrix of ``blocks``, each omega sample's rows written
+        into one preallocated matrix."""
+        out = np.empty((self.nk, self.nw, self.nk * self.nw), dtype=complex)
+        for a, rows in enumerate(self._spread_rows(blocks)):
+            out[:, a] = rows
+        return out.reshape(self.nk * self.nw, -1)
 
     def spread_max_abs(self, blocks) -> float:
         """max |spread(blocks)|, without forming the grid matrix."""

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from pdcfield.cli import main, _read_image
 from pdcfield.config import ConfigError, load_config_file
+from pdcfield import plotio
 from pdcfield.fitting import ForwardModel, synthesize_image
+from pdcfield.kernels import _PIXEL_BLOCK
 from pdcfield.plotio import write_csv, read_csv, render_plot
 
 CONFIG = """
@@ -110,6 +113,64 @@ def test_csv_float_columns_property(tmp_path_factory, values):
     finite = ~np.isnan(expected)
     assert np.array_equal(data[finite], expected[finite])
     assert np.array_equal(np.signbit(data[finite]), np.signbit(expected[finite]))
+
+
+@pytest.mark.parametrize("rows", [_PIXEL_BLOCK - 1, _PIXEL_BLOCK, _PIXEL_BLOCK + 1])
+def test_csv_block_boundaries_match_per_row_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    values[rng.integers(0, rows, 64)] = rng.choice(SPECIALS, 64)
+    names = [f"p{i % 97}" for i in range(rows)]
+    counts = np.arange(rows) % 7
+    header = ["name", "value", "count"]
+    path = write_csv(tmp_path / "t.csv", header, [names, values, counts])
+    assert path.read_bytes() == per_row_reference(
+        header, zip(names, values.tolist(), counts.tolist()))
+
+
+def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
+    # image tables of 256² and 512² rows; written whole, the 512² table
+    # peaked at 30 MB
+    peaks = []
+    for side in (256, 512):
+        axis = np.linspace(-1.5, 1.5, side)
+        XX, YY = np.meshgrid(axis, axis)
+        counts = np.random.default_rng(side).poisson(20.0, XX.shape).astype(float)
+        columns = [XX.ravel(), YY.ravel(), counts.ravel()]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / f"{side}.csv", ["x_mm", "y_mm", "intensity"], columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_failed_write_leaves_no_table(tmp_path, monkeypatch):
+    # a failure after whole blocks were written must not leave a shorter,
+    # valid table behind, nor the table it was to replace
+    rows = _PIXEL_BLOCK + 2
+    names = ["ok"] * rows
+    names[-1] = "caf\u00e9"  # in the last block
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [[1.0]])
+    with pytest.raises(UnicodeEncodeError):
+        write_csv(path, ["name", "value"], [names, np.arange(rows, dtype=float)])
+    assert not path.exists()
+
+    formatted = []
+
+    def full_disk(column, end):
+        formatted.append(end)
+        if len(formatted) > 2:  # the second block of two columns
+            raise OSError(28, "No space left on device")
+        return format_column(column, end)
+
+    format_column = plotio._format_column
+    monkeypatch.setattr(plotio, "_format_column", full_disk)
+    with pytest.raises(OSError, match="cannot write CSV"):
+        write_csv(path, ["name", "value"], [["ok"] * rows, np.arange(rows, dtype=float)])
+    assert not path.exists()
 
 
 def test_render_plot_writes_svg(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import pdcfield.fitting
 from pdcfield.config import (ConfigError, CrystalConfig, DetectorConfig, ExperimentConfig,
                              PumpConfig, SeedConfig, with_overrides)
-from pdcfield.kernels import FieldKernels
+from pdcfield.kernels import FieldKernels, _PIXEL_BLOCK
 from pdcfield.fitting import (
     ForwardModel,
     IntensityImage,
@@ -18,7 +19,8 @@ from pdcfield.fitting import (
     synthesize_image,
     fit_parameters,
 )
-from pdcfield.stimulated import field_polynomials, zeta2_tca, zeta_branches, zeta_orders
+from pdcfield.stimulated import (field_polynomials, intensity_coefficients, zeta2_tca,
+                                 zeta_branches, zeta_orders)
 from pdcfield.background import background_intensity, background_radial
 
 
@@ -385,6 +387,77 @@ def test_basis_jacobian_matches_central_differences(overlap_cfg, axes, model_nam
     )
     assert np.max(np.abs(d_photons - num_n)) <= 1e-7 * np.max(np.abs(num_n))
     assert np.max(np.abs(d_xi - num_xi)) <= 1e-7 * np.max(np.abs(num_xi))
+
+
+@pytest.mark.parametrize("model_name", ["tca", "orders"])
+@pytest.mark.parametrize("mode", ["coherent", "separate"])
+def test_basis_blocks_equal_one_block(overlap_cfg, model_name, mode):
+    # pixel counts on both sides of a block boundary, against every pixel
+    # evaluated as one block (test-owned: the whole-frame evaluation)
+    model = ForwardModel(overlap_cfg, mode=mode, model=model_name)
+    kern = FieldKernels(with_overrides(overlap_cfg, seed_photons=1.0, squeezing=1.0))
+    gain = kern.q.detector_gain
+    points = np.random.default_rng(7).uniform(-1.5e-3, 1.5e-3, (_PIXEL_BLOCK + 1, 2))
+    for n in (_PIXEL_BLOCK - 1, _PIXEL_BLOCK, _PIXEL_BLOCK + 1):
+        X0 = points[:n]
+        basis = model.basis(X0)
+        want = [gain * q for q in intensity_coefficients(
+            field_polynomials(kern, X0, mode=mode, model=model_name))]
+        assert len(basis.coefficients) == len(want)
+        for got, ref in zip(basis.coefficients, want):
+            assert np.ndim(got) == np.ndim(ref) and np.array_equal(got, ref), n
+        assert np.array_equal(basis.background, background_intensity(kern, X0)), n
+    # a frame keeps its shape
+    frame = model.basis(points[:_PIXEL_BLOCK + 1].reshape(99, 331, 2))
+    assert frame.background.shape == (99, 331)
+    assert all(np.shape(c) in ((), (99, 331)) for c in frame.coefficients)
+
+
+def test_basis_memory_is_bounded_by_its_blocks(model):
+    # the output is 4 frame arrays (3 coefficient images and the
+    # background); evaluated on the whole frame at once the peak was 17
+    x = np.linspace(-1.5e-3, 1.5e-3, 512)
+    X0 = np.stack(np.meshgrid(x, x), axis=-1)
+    model.basis(X0)
+    tracemalloc.start()
+    try:
+        basis = model.basis(X0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis.coefficients) == 3
+    assert peak <= 8 * x.size**2 * 8
+
+
+@pytest.mark.parametrize("model_name", ["tca", "orders"])
+def test_separate_mode_leaves_zero_coefficients_out_of_the_gram(
+    combined_cfg, axes, model_name, monkeypatch
+):
+    # separate branches have no odd powers of xi (q_1 for tca; q_1, q_3, ...,
+    # q_11 for orders): fits without those zero columns match fits with them
+    x, y = axes
+    model = ForwardModel(combined_cfg, mode="separate", model=model_name)
+    img = synthesize_image(model, x, y, noise="poisson", seed=6, exposure=40.0)
+    free = ("seed_photons", "squeezing")
+
+    def fit():
+        problem = WeightedFit(model, img, free)
+        problem.accept(np.array([3.0, 0.8]))
+        problem.normal_equations()
+        result = fit_parameters(model, img, free, init={"seed_photons": 3.0, "squeezing": 0.8})
+        return result, problem.gram.shape[0]
+
+    result, size = fit()
+    zeros = sum(np.ndim(c) == 0 for c in model.basis(img.positions()).coefficients)
+    monkeypatch.setattr(SeparableBasis, "powers", lambda self: np.arange(len(self.coefficients)))
+    before, size_before = fit()  # each zero broadcast to a zero image, as it was
+    assert zeros == (1 if model_name == "tca" else 6)
+    assert size == size_before - zeros
+    assert result.status == before.status == "converged"
+    assert result.iterations == before.iterations
+    for name in free:
+        assert result.parameters[name] == pytest.approx(before.parameters[name], rel=1e-12)
+        assert result.errors[name] == pytest.approx(before.errors[name], rel=1e-12)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
