@@ -5,6 +5,7 @@ and the validation table, emitting CSV files and optional SVG plots.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,6 +48,28 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
     if hi <= lo:
         raise ConfigError(f"--{name} range is degenerate: {text!r}")
     return lo, hi
+
+
+def _positive_count(text: str) -> int:
+    """argparse type of a point count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_length(text: str) -> float:
+    """argparse type of a scan extent: a finite length above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive length, got {text!r}")
+    return value
 
 
 def _exposure(args) -> float:
@@ -262,29 +285,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("orders", cmd_orders, "per-order amplitude scan along x")
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--half-width", type=float, default=1.5, help="scan half width [mm]")
-    p.add_argument("--points", type=int, default=601)
+    p.add_argument("--half-width", type=_positive_length, default=1.5,
+                   help="scan half width [mm]")
+    p.add_argument("--points", type=_positive_count, default=601)
 
     p = add("efficiency", cmd_efficiency, "conversion-efficiency curve", needs_config=False)
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--a-range", default="-16:16")
-    p.add_argument("--points", type=int, default=1601)
+    p.add_argument("--points", type=_positive_count, default=1601)
 
     p = add("background", cmd_background, "radial background scan")
     p.add_argument("--r-max", type=float, default=2.0, help="max radius [mm]")
-    p.add_argument("--points", type=int, default=801)
+    p.add_argument("--points", type=_positive_count, default=801)
     p.add_argument("--angles-mrad", default="", help="comma list of emission angles")
 
     p = add("combined", cmd_combined, "combined intensity for a list of G values")
     p.add_argument("--G", default="0.8,1.0,1.2")
-    p.add_argument("--half-width", type=float, default=1.5)
-    p.add_argument("--points", type=int, default=1201)
+    p.add_argument("--half-width", type=_positive_length, default=1.5)
+    p.add_argument("--points", type=_positive_count, default=1201)
     p.add_argument("--mode", choices=("coherent", "separate"), default="coherent")
 
     p = add("image", cmd_image, "synthesize a 2-D intensity image")
-    p.add_argument("--nx", type=int, default=96)
-    p.add_argument("--ny", type=int, default=32)
-    p.add_argument("--half-width", type=float, default=1.5)
+    p.add_argument("--nx", type=_positive_count, default=96)
+    p.add_argument("--ny", type=_positive_count, default=32)
+    p.add_argument("--half-width", type=_positive_length, default=1.5)
     p.add_argument("--noise", choices=("none", "poisson"), default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exposure", type=float, default=1.0)

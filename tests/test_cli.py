@@ -473,3 +473,34 @@ def test_bad_exposure_usage_error(tmp_path, config_path, capsys, command, exposu
     err = capsys.readouterr().err
     assert err.startswith("error: --exposure") and "Traceback" not in err
     assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("image", "--nx", "0"),
+    ("image", "--nx", "-3"),
+    ("image", "--ny", "0"),
+    ("image", "--nx", "2.5"),
+    ("image", "--half-width", "nan"),
+    ("image", "--half-width", "-1"),
+    ("image", "--half-width", "0"),
+    ("image", "--half-width", "inf"),
+    ("orders", "--points", "0"),
+    ("orders", "--half-width", "nan"),
+    ("combined", "--points", "0"),
+    ("combined", "--half-width", "0"),
+    ("background", "--points", "0"),
+    ("efficiency", "--points", "0"),
+])
+def test_bad_scan_geometry_usage_error(tmp_path, config_path, capsys, command, flag, value):
+    # these ended in tracebacks (a division by zero, an empty table, a
+    # negative count, a non-finite intensity), or, for a non-positive image
+    # half width, wrote an x axis that fit then rejected
+    needs_config = [] if command == "efficiency" else ["--config", config_path]
+    with pytest.raises(SystemExit) as exc:
+        main(["--outdir", str(tmp_path / "out"), command, *needs_config, flag, value,
+              "--no-svg"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected a" in err and "Traceback" not in err
+    # rejected before any work: not even the output directory is made
+    assert not (tmp_path / "out").exists()

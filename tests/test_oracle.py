@@ -258,7 +258,7 @@ def test_piecewise_provider_matches_dense_projection():
     for ws in workspaces:
         pieces.append(len(ws.provider.pieces))
         for z in piece_depths(ws):
-            got = ws.provider.blocks(z)
+            got = [ws.provider.block(s, z) for s in range(ws.space.nblocks)]
             ref = dense_blocks(ws.space, ws.ops.htilde(z))
             scale = max(float(np.max(np.abs(r))) for r in ref)
             for blk, want in zip(got, ref, strict=True):
@@ -298,8 +298,8 @@ def test_providers_form_no_grid_sized_array(monkeypatch):
     ):
         ws = oracle.GridWorkspace(FieldKernels(cfg), grid)
         assert (len(ws.provider.pieces) > 1) == several
-        blocks = ws.provider.blocks(0.37 * ws.length)
-        assert all(np.all(np.isfinite(blk)) for blk in blocks)
+        for s in range(ws.space.nblocks):
+            assert np.all(np.isfinite(ws.provider.block(s, 0.37 * ws.length)))
     # building the acceptance-size workspace: what it allocates beyond what
     # it keeps stays below one real grid-sized array
     cfg = thin_reference_config(0.2)
@@ -600,12 +600,24 @@ def test_identity_defect_at_gain_one():
     assert sol.constraint_defect <= 1e-10
 
 
+def _textbook_kernel(ws, z):
+    """The blocks of H(z) summed term by term from the provider's stored
+    terms, pair_phase (i (z - z_j))^k R_k on the piece of z: a reference
+    that does not go through ``_TaylorProvider.block``."""
+    provider = ws.provider
+    last = len(provider.pieces) - 1
+    j = min(int(z / provider.length), last) if last else 0
+    x = 1j * (z - j * provider.length)
+    return [sum(ws.kern.pair_phase * x**k * terms[s] for k, terms in enumerate(provider.pieces[j]))
+            for s in range(ws.space.nblocks)]
+
+
 def _rk4_textbook(ws, steps, drop_last_stage=False):
     """Textbook RK4 of dU = V H / 2, dV = U conj(H) / 2 on the workspace
-    blocks; with ``drop_last_stage`` the end-of-step slope is replaced by
-    the third.  A step starts from the previous step's end kernel when their
-    depths are the same float, so the results are those of asking the
-    provider at every stage."""
+    blocks, with H(z) from ``_textbook_kernel``; with ``drop_last_stage``
+    the end-of-step slope is replaced by the third.  A step starts from the
+    previous step's end kernel when their depths are the same float, so
+    the results are those of evaluating H at every stage."""
     dims = oracle._block_dims(ws.space)
     U = [np.eye(d, dtype=complex) for d in dims]
     V = [np.zeros((d, d), dtype=complex) for d in dims]
@@ -617,8 +629,8 @@ def _rk4_textbook(ws, steps, drop_last_stage=False):
     end, H_end = None, None
     for i in range(steps):
         z = i * h
-        H_lo = H_end if end == z + 0.0 * h else ws.provider.blocks(z + 0.0 * h)
-        H_mid, H_hi = (ws.provider.blocks(z + f * h) for f in (0.5, 1.0))
+        H_lo = H_end if end == z + 0.0 * h else _textbook_kernel(ws, z + 0.0 * h)
+        H_mid, H_hi = (_textbook_kernel(ws, z + f * h) for f in (0.5, 1.0))
         end, H_end = z + 1.0 * h, H_hi
         for s in range(len(dims)):
             u, v = U[s], V[s]
@@ -640,6 +652,78 @@ def test_identity_defect_flags_broken_integrator():
     assert oracle._bogoliubov_defect(ws.space, U, V) < 1e-10
     broken = _rk4_textbook(ws, 64, drop_last_stage=True)
     assert oracle._bogoliubov_defect(ws.space, *broken) > 1e-6
+
+
+def _series_textbook(ws, order, z_nodes):
+    """The iterated-integral series level by level: T_0(z) = int_0^z
+    conj(H) and T_k(z) = int_0^z T_(k-1) H_k, with H_k = conj(H) for even k
+    and H for odd k, each by the cumulative trapezoid rule over ``z_nodes``
+    equally spaced depths; U = 1 + the odd and V = the even T_k(L) /
+    2^(k+1).  H(z) comes from ``_textbook_kernel``."""
+    zs = np.linspace(0.0, ws.length, z_nodes)
+    h = zs[1] - zs[0]
+    kernels = [_textbook_kernel(ws, z) for z in zs]
+    U, V = [], []
+    for s, d in enumerate(oracle._block_dims(ws.space)):
+        fields = [np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)]
+        running = None
+        for k in range(order):
+            mats = [np.conj(H[s]) if k % 2 == 0 else H[s] for H in kernels]
+            integrand = mats if k == 0 else [t @ m for t, m in zip(running, mats)]
+            running = [np.zeros((d, d), dtype=complex)]
+            for a, b in zip(integrand, integrand[1:]):
+                running.append(running[-1] + 0.5 * h * (a + b))
+            fields[(k + 1) % 2] = fields[(k + 1) % 2] + running[-1] / 2 ** (k + 1)
+        U.append(fields[0])
+        V.append(fields[1])
+    return U, V
+
+
+def test_integrators_match_textbook_on_two_pieces(monkeypatch):
+    # the shipped config on its own 8x8x8 grid: two pieces, the second with
+    # complex terms, which the other integrator tests do not reach
+    cfg = load_config_file(SHIPPED_CONFIG)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 8, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    assert len(ws.provider.pieces) == 2
+    assert all(np.iscomplexobj(blk) for terms in ws.provider.pieces[1] for blk in terms)
+    with monkeypatch.context() as patch:
+        # the references never ask the provider's own evaluation of H(z)
+        patch.setattr(oracle._TaylorProvider, "block", None)
+        references = [_rk4_textbook(ws, 64), _series_textbook(ws, 4, 33)]
+    series = oracle.series_UV(kern, grid, order=4, z_nodes=33, workspace=ws)
+    results = [oracle._rk4_blocks(ws, 64), tuple(kernel.blocks for kernel in series)]
+    for (U, V), (U_ref, V_ref) in zip(results, references):
+        scale = max(float(np.max(np.abs(blk))) for blk in U_ref + V_ref)
+        assert _max_diff(U + V, U_ref + V_ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "series"])
+def test_depth_integrators_hold_one_block_at_a_time(integrator):
+    # 9x9x8: blocks of 120/48/80/80/160 rows, the largest 46 % of sum d^2.
+    # Traced peak above the result, in arrays of the largest block: 12.3
+    # for the RK4 and 10.3 for the series integrating one block at a time;
+    # 21.1 and 21.4 when every depth formed H(z) for all blocks at once.
+    cfg = thin_reference_config(0.3)
+    kern = FieldKernels(cfg)
+    grid = thin_reference_grid(cfg, 9, 8)
+    ws = oracle.GridWorkspace(kern, grid)
+    dims = oracle._block_dims(ws.space)
+    assert max(dims) ** 2 < 0.5 * sum(d * d for d in dims)
+    largest, result = 16 * max(dims) ** 2, 2 * 16 * sum(d * d for d in dims)
+    run = {
+        "rk4": lambda: oracle._rk4_blocks(ws, 64),
+        "series": lambda: oracle.series_UV(kern, grid, order=4, z_nodes=9, workspace=ws),
+    }[integrator]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= result + 16 * largest
 
 
 def _taylor_textbook(ws, terms, drop_u_newest=False):
