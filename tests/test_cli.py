@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdcfield.cli import main, _read_image
+from pdcfield.cli import IMAGE_LAYOUT, main, _read_image
 from pdcfield.config import ConfigError, load_config_file
 from pdcfield import plotio
 from pdcfield.fitting import ForwardModel, synthesize_image
@@ -504,3 +504,102 @@ def test_bad_scan_geometry_usage_error(tmp_path, config_path, capsys, command, f
     assert f"error: argument {flag}: expected a" in err and "Traceback" not in err
     # rejected before any work: not even the output directory is made
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("background", "--r-max", "nan"),
+    ("background", "--r-max", "-1"),
+    ("background", "--angles-mrad", "x"),
+    ("background", "--angles-mrad", "5,nan"),
+    ("efficiency", "--beta", "nan"),
+    ("efficiency", "--beta", "-1"),
+    ("orders", "--m-max", "-2"),
+    ("orders", "--m-max", "1.5"),
+    ("combined", "--G", "x"),
+    ("combined", "--G", "nan"),
+    ("combined", "--G", "0.8,,1.2"),
+])
+def test_bad_scan_argument_usage_error(tmp_path, config_path, capsys, command, flag, value):
+    # a NaN or decreasing radius column and a NaN efficiency curve were
+    # written with exit 0; the rest ended in tracebacks
+    needs_config = [] if command == "efficiency" else ["--config", config_path]
+    with pytest.raises(SystemExit) as exc:
+        main(["--outdir", str(tmp_path / "out"), command, *needs_config, f"{flag}={value}",
+              "--no-svg"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected a" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_lists_and_orders_still_read(tmp_path, config_path):
+    out = str(tmp_path)
+    assert main(["--outdir", out, "background", "--config", config_path, "--points", "11",
+                 "--angles-mrad", "5,10", "--r-max", "1.5", "--no-svg"]) == 0
+    header, rows = read_csv(tmp_path / "background.csv")
+    assert header == ["r_mm", "intensity_theta5mrad", "intensity_theta10mrad"]
+    assert rows[-1, 0] == 1.5
+    assert main(["--outdir", out, "combined", "--config", config_path, "--points", "11",
+                 "--G=-0.5,1", "--no-svg"]) == 0
+    assert read_csv(tmp_path / "combined.csv")[0] == ["x_mm", "intensity_G-0.5", "intensity_G1"]
+    assert main(["--outdir", out, "orders", "--config", config_path, "--points", "11",
+                 "--m-max", "0", "--no-svg"]) == 0
+    assert main(["--outdir", out, "efficiency", "--beta", "0", "--points", "11",
+                 "--no-svg"]) == 0
+
+
+def _image_table(path, nx, ny, seed=0):
+    """An image CSV of ny rows of nx pixels in the layout `image` writes."""
+    x, y = np.linspace(-1.5, 1.5, nx), np.linspace(-0.5, 0.5, ny)
+    XX, YY = np.meshgrid(x, y)
+    counts = np.random.default_rng(seed).poisson(30.0, XX.shape).astype(float)
+    return write_csv(path, ["x_mm", "y_mm", "intensity"], [XX.ravel(), YY.ravel(), counts.ravel()])
+
+
+@pytest.mark.parametrize("nx, ny", [(151, 217), (256, 128), (331, 99), (2 * _PIXEL_BLOCK + 1, 1)],
+                         ids=["block-1", "block", "block+1", "2block+1"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_block_reads_equal_one_read(tmp_path, nx, ny, newline):
+    # row counts on both sides of the block boundaries; the last frame is one
+    # image row longer than two blocks
+    path = _image_table(tmp_path / "image.csv", nx, ny)
+    if newline != "\n":
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    whole = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert len(whole) == nx * ny
+    header, data = read_csv(path)
+    assert header == ["x_mm", "y_mm", "intensity"] and np.array_equal(data, whole)
+    image = _read_image(path)
+    assert np.array_equal(image.values.ravel(), whole[:, 2])
+    assert np.array_equal(image.x, whole[:nx, 0] * 1e-3)
+    assert np.array_equal(image.y, whole[::nx, 1] * 1e-3)
+
+
+@pytest.mark.parametrize("fault", ["bad-token", "ragged", "non-ascii"])
+def test_bad_line_in_a_later_block_is_named(tmp_path, fault):
+    path = _image_table(tmp_path / "t.csv", 331, 200)
+    lines = path.read_bytes().split(b"\n")
+    number = _PIXEL_BLOCK + 7  # in the second block (the header is line 1)
+    x_mm, y_mm, _ = lines[number - 1].split(b",")
+    lines[number - 1] = {"bad-token": x_mm + b"," + y_mm + b",abc",
+                         "ragged": x_mm + b"," + y_mm,
+                         "non-ascii": x_mm + b"," + y_mm + b",3\xc2\xb5"}[fault]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {number}: ")):
+        read_csv(path)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line {number}: ")):
+        _read_image(path)
+
+
+def test_layout_break_past_the_first_block_usage_error(tmp_path, config_path, capsys):
+    # two pixels swapped near the end: every block before the last is good
+    path = _image_table(tmp_path / "image.csv", 512, 128)
+    lines = path.read_text().splitlines()
+    lines[-3], lines[-2] = lines[-2], lines[-3]
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["--outdir", str(tmp_path), "fit", "--config", config_path,
+                 "--image", str(path), "--no-svg"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"expected {IMAGE_LAYOUT}" in err and "Traceback" not in err
+    assert not (tmp_path / "fit.csv").exists()

@@ -56,8 +56,7 @@ def test_zero_seed_leaves_background(combined_cfg):
 def test_synthesize_noiseless_equals_model(model, axes):
     x, y = axes
     img = synthesize_image(model, x, y, noise="none", exposure=3.0)
-    X0 = img.positions()
-    assert np.allclose(img.values, model.intensity(X0) * 3.0)
+    assert np.allclose(img.values, model.intensity(x, y) * 3.0)
 
 
 def test_synthesize_poisson_deterministic(model, axes):
@@ -74,7 +73,7 @@ def test_poisson_mean_statistics(model):
     x = np.linspace(-1.2e-3, 1.2e-3, 24)
     y = np.linspace(-0.2e-3, 0.2e-3, 8)
     exposure = 40.0
-    mean = model.intensity(np.stack(np.meshgrid(x, y), axis=-1)) * exposure
+    mean = model.intensity(x, y) * exposure
     n_seeds = 100
     acc = np.zeros_like(mean)
     for seed in range(n_seeds):
@@ -169,10 +168,9 @@ def test_fit_better_than_local_grid(model, axes):
         model, img, init={"seed_photons": 3.0, "squeezing": 0.8}
     )
     data = img.values.ravel()
-    X0 = img.positions()
     mu_fit = (
         model.intensity(
-            X0,
+            x, y,
             seed_photons=result.parameters["seed_photons"],
             squeezing=result.parameters["squeezing"],
         ).ravel()
@@ -181,7 +179,7 @@ def test_fit_better_than_local_grid(model, axes):
     w_fit = 1.0 / np.maximum(mu_fit, 1.0)  # converged shot-noise weights
 
     def cost(photons, xi):
-        mu = model.intensity(X0, seed_photons=photons, squeezing=xi).ravel() * 60.0
+        mu = model.intensity(x, y, seed_photons=photons, squeezing=xi).ravel() * 60.0
         return float(np.sum(w_fit * (data - mu) ** 2))
 
     grid_costs = [
@@ -261,13 +259,12 @@ def test_gram_equals_explicit_sums(model, axes, photons, xi, geometry, offset, m
     jtj, grad = problem.normal_equations()
 
     # test-owned: the model counts, weights and Jacobian formed on every pixel
-    X0 = img.positions()
-    basis = model.basis(X0, **{geometry: theta[2]})
+    basis = model.basis(x, y, **{geometry: theta[2]})
     mu = basis.intensity(photons, xi).ravel() * 40.0
     w = 1.0 / np.maximum(mu, 1.0)
     r = img.values.ravel() - mu
     step = 1e-4 * theta[2]
-    sides = [model.intensity(X0, seed_photons=photons, squeezing=xi, **{geometry: g}).ravel()
+    sides = [model.intensity(x, y, seed_photons=photons, squeezing=xi, **{geometry: g}).ravel()
              for g in (theta[2] + step, theta[2] - step)]
     jac = np.stack([*(40.0 * d.ravel() for d in basis.derivatives(photons, xi)),
                     40.0 * (sides[0] - sides[1]) / (2.0 * step)], axis=1)
@@ -285,7 +282,7 @@ def test_gram_equals_explicit_sums(model, axes, photons, xi, geometry, offset, m
     # and at a new one (its basis and one pass), under the point's weights
     for trial in (theta * [1.0 + move, 1.0 - move, 1.0], theta * (1.0 + move)):
         overrides = dict(zip(free, trial))
-        mu_t = model.intensity(X0, **overrides).ravel() * 40.0
+        mu_t = model.intensity(x, y, **overrides).ravel() * 40.0
         want = float(np.sum(w * (img.values.ravel() - mu_t) ** 2)) - cost
         assert problem.trial(trial)[0] == pytest.approx(want, abs=1e-10 * cost)
 
@@ -362,12 +359,12 @@ def test_basis_matches_direct_evaluation(overlap_cfg, axes, model_name, mode):
                 with_overrides(overlap_cfg, seed_photons=photons, squeezing=xi),
                 X0, mode, model_name,
             )
-            basis = model.intensity(X0, seed_photons=photons, squeezing=xi)
+            basis = model.intensity(x, y, seed_photons=photons, squeezing=xi)
             scale = max(np.max(direct), 1e-300)
             assert np.max(np.abs(basis - direct)) <= 1e-12 * scale, (photons, xi)
     other = "separate" if mode == "coherent" else "coherent"
     assert not np.allclose(
-        model.intensity(X0), _direct_intensity(overlap_cfg, X0, other, model_name)
+        model.intensity(x, y), _direct_intensity(overlap_cfg, X0, other, model_name)
     )
 
 
@@ -375,8 +372,7 @@ def test_basis_matches_direct_evaluation(overlap_cfg, axes, model_name, mode):
 @pytest.mark.parametrize("mode", ["coherent", "separate"])
 def test_basis_jacobian_matches_central_differences(overlap_cfg, axes, model_name, mode):
     x, y = axes
-    X0 = np.stack(np.meshgrid(x, y), axis=-1)
-    basis = ForwardModel(overlap_cfg, mode=mode, model=model_name).basis(X0)
+    basis = ForwardModel(overlap_cfg, mode=mode, model=model_name).basis(x, y)
     assert isinstance(basis, SeparableBasis)
     photons, xi = 3.0, 0.8
     d_photons, d_xi = basis.derivatives(photons, xi)
@@ -397,31 +393,33 @@ def test_basis_blocks_equal_one_block(overlap_cfg, model_name, mode):
     model = ForwardModel(overlap_cfg, mode=mode, model=model_name)
     kern = FieldKernels(with_overrides(overlap_cfg, seed_photons=1.0, squeezing=1.0))
     gain = kern.q.detector_gain
-    points = np.random.default_rng(7).uniform(-1.5e-3, 1.5e-3, (_PIXEL_BLOCK + 1, 2))
-    for n in (_PIXEL_BLOCK - 1, _PIXEL_BLOCK, _PIXEL_BLOCK + 1):
-        X0 = points[:n]
-        basis = model.basis(X0)
+    rng = np.random.default_rng(7)
+
+    def check(x, y):
+        basis = model.basis(x, y)
+        X0 = np.stack(np.meshgrid(x, y), axis=-1)  # row-major, x varying fastest
         want = [gain * q for q in intensity_coefficients(
             field_polynomials(kern, X0, mode=mode, model=model_name))]
         assert len(basis.coefficients) == len(want)
         for got, ref in zip(basis.coefficients, want):
-            assert np.ndim(got) == np.ndim(ref) and np.array_equal(got, ref), n
-        assert np.array_equal(basis.background, background_intensity(kern, X0)), n
-    # a frame keeps its shape
-    frame = model.basis(points[:_PIXEL_BLOCK + 1].reshape(99, 331, 2))
-    assert frame.background.shape == (99, 331)
-    assert all(np.shape(c) in ((), (99, 331)) for c in frame.coefficients)
+            assert np.shape(got) == np.shape(ref) and np.array_equal(got, ref), X0.shape
+        assert np.array_equal(basis.background, background_intensity(kern, X0)), X0.shape
+
+    x = rng.uniform(-1.5e-3, 1.5e-3, _PIXEL_BLOCK + 1)
+    for n in (_PIXEL_BLOCK - 1, _PIXEL_BLOCK, _PIXEL_BLOCK + 1):
+        check(x[:n], [0.2e-3])
+    # a frame of 99 rows of 331 pixels, _PIXEL_BLOCK + 1 in all
+    check(rng.uniform(-1.5e-3, 1.5e-3, 331), rng.uniform(-1.5e-3, 1.5e-3, 99))
 
 
 def test_basis_memory_is_bounded_by_its_blocks(model):
     # the output is 4 frame arrays (3 coefficient images and the
     # background); evaluated on the whole frame at once the peak was 17
     x = np.linspace(-1.5e-3, 1.5e-3, 512)
-    X0 = np.stack(np.meshgrid(x, x), axis=-1)
-    model.basis(X0)
+    model.basis(x, x)
     tracemalloc.start()
     try:
-        basis = model.basis(X0)
+        basis = model.basis(x, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -448,7 +446,7 @@ def test_separate_mode_leaves_zero_coefficients_out_of_the_gram(
         return result, problem.gram.shape[0]
 
     result, size = fit()
-    zeros = sum(np.ndim(c) == 0 for c in model.basis(img.positions()).coefficients)
+    zeros = sum(np.ndim(c) == 0 for c in model.basis(x, y).coefficients)
     monkeypatch.setattr(SeparableBasis, "powers", lambda self: np.arange(len(self.coefficients)))
     before, size_before = fit()  # each zero broadcast to a zero image, as it was
     assert zeros == (1 if model_name == "tca" else 6)
@@ -490,7 +488,7 @@ def test_basis_matches_complex_evaluation_property(
     )
     x = np.linspace(-1.5e-3, 1.5e-3, 24)
     X0 = np.stack(np.meshgrid(x, x[::2]), axis=-1)
-    basis = ForwardModel(cfg, mode=mode, model=model_name).basis(X0)
+    basis = ForwardModel(cfg, mode=mode, model=model_name).basis(x, x[::2])
     # test-owned: each field polynomial summed in complex arithmetic, then
     # |.|^2; ``bound`` replaces each coefficient by its modulus, the scale of
     # the rounding of any sum of |A_b|^2, which may cancel where signal and
@@ -518,11 +516,10 @@ def test_basis_matches_complex_evaluation_property(
 
 def test_negative_photons_and_gain_rejected(model, axes):
     x, y = axes
-    X0 = np.stack(np.meshgrid(x, y), axis=-1)
     with pytest.raises(ConfigError):
-        model.intensity(X0, seed_photons=-1)
+        model.intensity(x, y, seed_photons=-1)
     with pytest.raises(ConfigError):
-        model.intensity(X0, squeezing=-0.5)
+        model.intensity(x, y, squeezing=-0.5)
 
 
 def test_fit_builds_kernels_once(model, axes, monkeypatch):
@@ -561,3 +558,74 @@ def test_non_finite_model_rejected(model, axes, monkeypatch):
     )
     with pytest.raises(ValueError, match="not finite"):
         fit_parameters(model, img)
+
+
+@pytest.mark.parametrize("mode", ["coherent", "separate"])
+def test_gram_over_a_partial_last_block(combined_cfg, mode):
+    # 99 rows of 331 pixels: _PIXEL_BLOCK + 1, so the last block holds one
+    # pixel; a geometry column makes every pass evaluate kernels per block
+    model = ForwardModel(combined_cfg, mode=mode)
+    x = np.linspace(-1.5e-3, 1.5e-3, 331)
+    y = np.linspace(-0.45e-3, 0.45e-3, 99)
+    assert x.size * y.size == _PIXEL_BLOCK + 1
+    img = synthesize_image(model, x, y, noise="poisson", seed=8, exposure=40.0)
+    free = ("seed_photons", "squeezing", "seed_waist")
+    theta = np.array([3.5, 0.9, 1.05 * TRUTH["seed_waist"]])
+    problem = WeightedFit(model, img, free)
+    problem.accept(theta)
+    jtj, grad = problem.normal_equations()
+
+    # test-owned: the model counts, weights and Jacobian formed on every pixel
+    basis = model.basis(x, y, seed_waist=theta[2])
+    mu = basis.intensity(*theta[:2]).ravel() * 40.0
+    w = 1.0 / np.maximum(mu, 1.0)
+    r = img.values.ravel() - mu
+    step = 1e-4 * theta[2]
+    sides = [model.intensity(x, y, seed_photons=theta[0], squeezing=theta[1], seed_waist=g)
+             for g in (theta[2] + step, theta[2] - step)]
+    jac = np.stack([*(40.0 * d.ravel() for d in basis.derivatives(*theta[:2])),
+                    40.0 * (sides[0] - sides[1]).ravel() / (2.0 * step)], axis=1)
+    want_jtj = jac.T @ (w[:, None] * jac)
+    cost = float(np.sum(w * r**2))
+    assert problem.cost == pytest.approx(cost, rel=1e-10)
+    diag = np.sqrt(np.diag(want_jtj))
+    assert np.all(np.abs(jtj - want_jtj) <= 1e-10 * np.outer(diag, diag))
+    assert np.all(np.abs(grad - jac.T @ (w * r)) <= 1e-10 * diag * math.sqrt(cost))
+    trial = theta * 1.02
+    mu_t = model.intensity(x, y, **dict(zip(free, trial))).ravel() * 40.0
+    want = float(np.sum(w * (img.values.ravel() - mu_t) ** 2)) - cost
+    assert problem.trial(trial)[0] == pytest.approx(want, abs=1e-10 * cost)
+
+
+def test_non_finite_count_past_the_first_block_rejected(model, monkeypatch):
+    x = np.linspace(-1.5e-3, 1.5e-3, 331)
+    y = np.linspace(-0.45e-3, 0.45e-3, 99)
+    img = synthesize_image(model, x, y, noise="poisson", seed=5, exposure=40.0)
+    problem = WeightedFit(model, img, ("seed_photons", "squeezing", "seed_waist"))
+    theta = np.array([4.0, 1.0, TRUTH["seed_waist"]])
+    bad = model.basis(x, y, seed_waist=theta[2])
+    bad.background.reshape(-1)[_PIXEL_BLOCK] = np.nan  # the first pixel of the second block
+    with pytest.raises(ValueError, match="not finite"):
+        problem.accept(theta, bad)
+    # a trial at a new geometry meets it in its own pass
+    problem.accept(theta)
+    monkeypatch.setattr(ForwardModel, "basis", lambda self, x, y, **geometry: bad)
+    with pytest.raises(ValueError, match="not finite"):
+        problem.trial(theta * [1.0, 1.0, 1.01])
+
+
+def test_fit_memory_is_the_data_and_the_basis(model):
+    # at the parent the fit peaked at about 11 frame arrays above entry: the
+    # positions, the counts, residual and weights, the Horner and Gram
+    # temporaries on top of the four basis images
+    x = np.linspace(-1.5e-3, 1.5e-3, 512)
+    img = synthesize_image(model, x, x, noise="poisson", seed=1, exposure=40.0)
+    fit_parameters(model, img, init={"seed_photons": 3.0, "squeezing": 0.8})
+    tracemalloc.start()
+    try:
+        result = fit_parameters(model, img, init={"seed_photons": 3.0, "squeezing": 0.8})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak <= 6.5 * img.values.nbytes
