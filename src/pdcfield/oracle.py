@@ -729,12 +729,18 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
         a_(n+1) = i c_n sum_k b_(n-k) S_k,   b_(n+1) = -i c_n sum_k a_(n-k) conj(S_k),
 
     c_n = (-1)^n / (2 (n+1)), from a_0, b_0 the U and W at the piece start
-    (1 and 0, then the previous piece's values at x = 1).  Coefficients are
-    kept transposed, so that each new one is one real product of [S_0^T ...
-    S_m^T] with the last m+1 viewed as float pairs (on a complex piece the
-    stack holds the real over the imaginary parts, and the two halves of
-    the product give S^T h and conj(S)^T h); they are stored newest first,
-    which makes that history one slice and puts them in Horner order.
+    (1 and 0, then the previous piece's values at x = 1).  On the first
+    piece the S_k are real and a_0 = 1, b_0 = 0, so every a_n is real and
+    every b_n imaginary: with beta_n = b_n / i both obey one real recurrence,
+    a_(n+1) = -c_n sum_k beta_(n-k) S_k and beta_(n+1) = -c_n sum_k
+    a_(n-k) S_k, and their histories are kept as float arrays, which halves
+    the flops and the bytes of that piece; W = i sum_n beta_n (ix)^n.
+    Coefficients are kept transposed, so that each new one is one real
+    product of [S_0^T ... S_m^T] with the last m+1 (on a complex piece
+    viewed as float pairs, with the stack holding the real over the
+    imaginary parts, so that the two halves of the product give S^T h and
+    conj(S)^T h); they are stored newest first, which makes that history
+    one slice and puts them in Horner order.
 
     A piece's term count comes from ``_taylor_term_count`` scaled by the
     norm M_j of its start.  An error e at a piece start grows at most by the
@@ -744,9 +750,10 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
     majorant of what the kernel adds to U = 1 and V = 0, so a weak kernel
     is resolved to the same relative accuracy as a strong one.  Returns,
     per zeta, the U and V blocks, and an info dict with ``steps`` (the
-    piece count), ``terms`` (the most of a piece), ``error_bound`` (on
-    every block of U and V in the 2-norm) and ``tolerance``.  Raises
-    StepCountError when the blocks turn non-finite.
+    piece count), ``piece_terms`` (the term count of each piece),
+    ``terms`` (the most of a piece), ``error_bound`` (on every block of U
+    and V in the 2-norm) and ``tolerance``.  Raises StepCountError when
+    the blocks turn non-finite.
     """
     space, pieces, length = workspace.space, workspace.provider.pieces, workspace.provider.length
     count, m = len(pieces), len(pieces[0]) - 1
@@ -760,19 +767,22 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
     exponents = [_majorant_exponent(n) for n in norms]
     target = DEPTH_TOL * min(1.0, math.expm1(sum(exponents)))
     dims = _block_dims(space)
-    # per block, the transposed U and W at the current piece start
-    starts = [(np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)) for d in dims]
+    # per block, the transposed U and W (beta on the first piece) at the
+    # current piece start
+    starts = [(np.eye(d), np.zeros((d, d))) for d in dims]
     values = [([], []) for _ in zetas]
-    bound, most = 0.0, 0
+    bound, piece_terms = 0.0, []
     for j, coeffs in enumerate(pieces):
         scale = max(_norm_bound(u for u, _ in starts), _norm_bound(w for _, w in starts))
         later = math.exp(sum(exponents[j + 1:]))
         terms, tail = _taylor_term_count(norms[j], target / (count * scale * later))
         bound = bound * math.exp(exponents[j]) + scale * tail
-        most = max(most, terms)
+        piece_terms.append(terms)
         # the requested depths on this piece, as x = s / l
         inside = [(out, zeta * count - j) for out, zeta in zip(values, zetas)
                   if min(int(zeta * count), count - 1) == j]
+        # W = unit sum_n b_n (ix)^n, with b_n holding beta_n on the first piece
+        unit = 1.0 if j else 1j
         for s, d in enumerate(dims):
             stack = np.empty((2 * d if j else d, (m + 1) * d))
             for k in range(m + 1):
@@ -780,27 +790,28 @@ def _taylor_blocks(workspace: GridWorkspace, zetas=(1.0,)):
                 stack[:d, k * d:(k + 1) * d] = length ** (k + 1) * term.real
                 if j:
                     stack[d:, k * d:(k + 1) * d] = length ** (k + 1) * term.imag
-            a, b = (np.zeros((terms, d, d), dtype=complex) for _ in range(2))
+            a, b = (np.zeros((terms, d, d), dtype=complex if j else float) for _ in range(2))
             a[-1], b[-1] = starts[s]
             for n in range(terms - 1):
                 top = min(n, m) + 1
                 lo = terms - 1 - n  # slot of coefficient n; n - k sits at lo + k
-                factor = 0.5j * (-1) ** n / (n + 1)
+                c = (-1) ** n / (2.0 * (n + 1))
                 for new, old, sign in ((a, b, 1.0), (b, a, -1.0)):
-                    hist = old[lo:lo + top].reshape(top * d, d).view(float)
-                    prod = (stack[:, :top * d] @ hist).view(complex)
+                    prod = stack[:, :top * d] @ old[lo:lo + top].reshape(top * d, d).view(float)
                     if j:
+                        prod = prod.view(complex)
                         prod = prod[:d] + (sign * 1j) * prod[d:]
-                    np.multiply(prod, sign * factor, out=new[lo - 1])
+                    np.multiply(prod, sign * 1j * c if j else -c, out=new[lo - 1])
             for (us, vs), x in inside:
                 us.append(np.ascontiguousarray(_horner(a, -1j * x).T))
                 vs.append(np.ascontiguousarray(_horner(b, 1j * x).T))
-                vs[-1] *= np.conj(workspace.kern.pair_phase)
+                vs[-1] *= unit * np.conj(workspace.kern.pair_phase)
             if j < count - 1:
-                starts[s] = (_horner(a, -1j), _horner(b, 1j))
+                starts[s] = (_horner(a, -1j), unit * _horner(b, 1j))
     if not all(np.all(np.isfinite(blk)) for us, vs in values for blk in us + vs):
         raise StepCountError(f"the depth solve over {count} pieces turned non-finite")
-    info = {"steps": count, "terms": most, "error_bound": bound, "tolerance": DEPTH_TOL}
+    info = {"steps": count, "terms": max(piece_terms), "piece_terms": piece_terms,
+            "error_bound": bound, "tolerance": DEPTH_TOL}
     return values, info
 
 
@@ -864,15 +875,18 @@ def _rk4_block(provider: _TaylorProvider, s: int, d: int, h: float, steps: int):
     return u, v
 
 
-def _bogoliubov_defect(space: _BlockSpace, U, V) -> float:
-    """Largest grid entry of U+U - V^T conj(V) - 1 and of U V^T - V U^T.
+def _bogoliubov_defect(space: _BlockSpace, U, V) -> tuple[float, float]:
+    """Largest grid entry of U+U - V^T conj(V) - 1 and of U V^T - V U^T,
+    and the larger Frobenius norm of the two.
 
     Both are identities of the Bogoliubov transformation (Braunstein, PRA
     71, 055801 (2005)) that the depth equations conserve, so the defect
     measures integration error.  The bases of ``space`` are real, so
     conjugation and transposition act block by block; both residuals are
-    formed on the weight-absorbed blocks and read on the grid with
-    ``spread_max_abs``, so the figure does not depend on the block basis.
+    formed on the weight-absorbed blocks.  The grid entry is read with
+    ``spread_max_abs``; the Frobenius norm is summed on the blocks, a
+    paired block counted twice for its two copies.  Neither depends on the
+    block basis, and the Frobenius norm bounds the grid entry.
     """
     identity, symmetric = [], []
     for u, v in zip(U, V):
@@ -881,7 +895,10 @@ def _bogoliubov_defect(space: _BlockSpace, U, V) -> float:
         identity.append(d)
         uvt = u @ v.T
         symmetric.append(uvt - uvt.T)
-    return max(space.spread_max_abs(identity), space.spread_max_abs(symmetric))
+    copies = [2 if blk.paired else 1 for blk in space.blocks]
+    frobenius = max(math.sqrt(sum(c * np.vdot(r, r).real for c, r in zip(copies, res)))
+                    for res in (identity, symmetric))
+    return max(space.spread_max_abs(identity), space.spread_max_abs(symmetric)), frobenius
 
 
 def solve_UV_ode(
@@ -897,15 +914,18 @@ def solve_UV_ode(
     must match ``kern``'s config and ``grid`` (GridMismatchError).  From
     the identity/zero initial kernels, with the fully z-dependent pair
     kernel, by the exact z-Taylor recurrence run piece by piece
-    (``_taylor_blocks``); ``info`` holds ``steps`` (the piece count, 1
-    wherever max |L Delta| <= 1.5), ``terms``, ``error_bound`` and
+    (``_taylor_blocks``), the first piece in real arithmetic; ``info``
+    holds ``steps`` (the piece count, 1 wherever max |L Delta| <= 1.5),
+    ``piece_terms``, ``terms`` (their largest), ``error_bound`` and
     ``tolerance``.  An explicit ``steps`` (at least 64) runs the classical
     fourth-order RK4 at that fixed count instead, with ``info`` holding
     ``steps``; it remains only because the depth-17 benchmark pins
     ``steps=64``.  ``info["blocks"]`` lists the block sizes; ``forward`` and
     ``conjugate`` hold the U and V blocks of the workspace's block space.
     ``constraint_defect`` is the largest grid entry of the Bogoliubov
-    identity defect of the result.
+    identity defect of the result, and ``info["identity_frobenius"]`` the
+    Frobenius norm of that defect summed on the blocks, which bounds it
+    (``_bogoliubov_defect``).
     """
     if steps is not None and steps < 64:
         raise ValueError("steps must be >= 64")
@@ -917,10 +937,11 @@ def solve_UV_ode(
         U, V = _rk4_blocks(workspace, steps)
         info = {"steps": steps}
     info["blocks"] = _block_dims(space)
+    defect, info["identity_frobenius"] = _bogoliubov_defect(space, U, V)
     return BogoliubovSolution(
         forward=BlockKernel(grid, space, U),
         conjugate=BlockKernel(grid, space, V),
-        constraint_defect=_bogoliubov_defect(space, U, V),
+        constraint_defect=defect,
         info=info,
     )
 

@@ -296,7 +296,8 @@ def check_bogoliubov_constraint(
         1e-6,
         t0,
         note=f"Taylor {info['terms']} terms, tail bound {info['error_bound']:.1e} "
-             f"(tol {info['tolerance']:g})",
+             f"(tol {info['tolerance']:g}), identity Frobenius norm "
+             f"{info['identity_frobenius']:.1e} on the blocks",
     )
     return res, sol, workspace
 

@@ -431,13 +431,17 @@ def test_solver_tolerance_contract(monkeypatch):
     assert len(ws.provider.pieces) == 1
     sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
     info = sol.info
-    assert set(info) == {"steps", "terms", "error_bound", "tolerance", "blocks"}
+    assert set(info) == {"steps", "terms", "piece_terms", "error_bound", "tolerance", "blocks",
+                         "identity_frobenius"}
     assert info["steps"] == 1
     assert info["tolerance"] == oracle.DEPTH_TOL
     assert 0.0 <= info["error_bound"] <= info["tolerance"]
+    assert info["piece_terms"] == [info["terms"]]
     assert info["terms"] > 2
     assert info["blocks"] == oracle._block_dims(ws.space)
     assert sol.constraint_defect < 1e-10
+    # the Frobenius norm of a matrix bounds its largest entry
+    assert sol.constraint_defect <= info["identity_frobenius"] < 1e-9
     # a tolerance below what double precision can prove raises instead of
     # returning
     monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-18)
@@ -453,12 +457,16 @@ def test_piecewise_tolerance_contract(monkeypatch, case):
     ws = oracle.GridWorkspace(kern, grid)
     sol = oracle.solve_UV_ode(kern, grid, workspace=ws)
     info = sol.info
-    assert set(info) == {"steps", "terms", "error_bound", "tolerance", "blocks"}
+    assert set(info) == {"steps", "terms", "piece_terms", "error_bound", "tolerance", "blocks",
+                         "identity_frobenius"}
     assert info["steps"] == len(ws.provider.pieces) >= 2
     assert info["tolerance"] == oracle.DEPTH_TOL
     assert 0.0 <= info["error_bound"] <= info["tolerance"]
+    assert len(info["piece_terms"]) == info["steps"]
+    assert info["terms"] == max(info["piece_terms"])
     assert info["blocks"] == oracle._block_dims(ws.space)
     assert sol.constraint_defect < 1e-10
+    assert sol.constraint_defect <= info["identity_frobenius"] < 1e-10
     # a tolerance below what double precision can prove raises instead of
     # returning
     monkeypatch.setattr(oracle, "DEPTH_TOL", 1e-18)
@@ -580,7 +588,8 @@ def test_fixed_steps_bit_identical_to_rk4():
     ws = oracle.GridWorkspace(kern, grid)
     sol = oracle.solve_UV_ode(kern, grid, steps=64, workspace=ws)
     U, V = oracle._rk4_blocks(ws, 64)
-    assert sol.info == {"steps": 64, "blocks": oracle._block_dims(ws.space)}
+    assert sol.info == {"steps": 64, "blocks": oracle._block_dims(ws.space),
+                        "identity_frobenius": oracle._bogoliubov_defect(ws.space, U, V)[1]}
     assert sol.forward.space is sol.conjugate.space is ws.space
     for got, want in ((sol.forward.blocks, U), (sol.conjugate.blocks, V)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -649,9 +658,9 @@ def test_identity_defect_flags_broken_integrator():
     U, V = _rk4_textbook(ws, 64)
     U_pkg, V_pkg = oracle._rk4_blocks(ws, 64)
     assert max(float(np.max(np.abs(a - b))) for a, b in zip(U + V, U_pkg + V_pkg)) < 1e-12
-    assert oracle._bogoliubov_defect(ws.space, U, V) < 1e-10
+    assert oracle._bogoliubov_defect(ws.space, U, V)[0] < 1e-10
     broken = _rk4_textbook(ws, 64, drop_last_stage=True)
-    assert oracle._bogoliubov_defect(ws.space, *broken) > 1e-6
+    assert oracle._bogoliubov_defect(ws.space, *broken)[0] > 1e-6
 
 
 def _series_textbook(ws, order, z_nodes):
@@ -699,12 +708,15 @@ def test_integrators_match_textbook_on_two_pieces(monkeypatch):
         assert _max_diff(U + V, U_ref + V_ref) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "series"])
+@pytest.mark.parametrize("integrator", ["rk4", "series", "taylor"])
 def test_depth_integrators_hold_one_block_at_a_time(integrator):
     # 9x9x8: blocks of 120/48/80/80/160 rows, the largest 46 % of sum d^2.
     # Traced peak above the result, in arrays of the largest block: 12.3
     # for the RK4 and 10.3 for the series integrating one block at a time;
     # 21.1 and 21.4 when every depth formed H(z) for all blocks at once.
+    # The recurrence keeps 2 x 10 coefficients of the largest block: 16.2
+    # with the real histories of the one piece, 30.1 with complex ones,
+    # which alone take the 20 arrays of its bound.
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 8)
@@ -712,9 +724,11 @@ def test_depth_integrators_hold_one_block_at_a_time(integrator):
     dims = oracle._block_dims(ws.space)
     assert max(dims) ** 2 < 0.5 * sum(d * d for d in dims)
     largest, result = 16 * max(dims) ** 2, 2 * 16 * sum(d * d for d in dims)
-    run = {
-        "rk4": lambda: oracle._rk4_blocks(ws, 64),
-        "series": lambda: oracle.series_UV(kern, grid, order=4, z_nodes=9, workspace=ws),
+    # the callable and its bound, in arrays of the largest block
+    run, arrays = {
+        "rk4": (lambda: oracle._rk4_blocks(ws, 64), 16),
+        "series": (lambda: oracle.series_UV(kern, grid, order=4, z_nodes=9, workspace=ws), 16),
+        "taylor": (lambda: oracle._taylor_blocks(ws), 20),
     }[integrator]
     tracemalloc.start()
     try:
@@ -723,7 +737,7 @@ def test_depth_integrators_hold_one_block_at_a_time(integrator):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= result + 16 * largest
+    assert peak <= result + arrays * largest
 
 
 def _taylor_textbook(ws, terms, drop_u_newest=False):
@@ -754,9 +768,57 @@ def test_identity_defect_flags_dropped_convolution_term():
     [(U_pkg, V_pkg)], info = oracle._taylor_blocks(ws)
     U, V = _taylor_textbook(ws, info["terms"])
     assert _max_diff(U + V, U_pkg + V_pkg) < 1e-12
-    assert oracle._bogoliubov_defect(ws.space, U, V) < 1e-10
+    assert oracle._bogoliubov_defect(ws.space, U, V)[0] < 1e-10
     broken = _taylor_textbook(ws, info["terms"], True)
-    assert oracle._bogoliubov_defect(ws.space, *broken) > 1e-6
+    assert oracle._bogoliubov_defect(ws.space, *broken)[0] > 1e-6
+
+
+def _majorant_norms(ws):
+    """Per piece, the norms a_k that ``_taylor_blocks`` hands the term
+    count: the magnitude factors' 2-norms for k = 0, the blocks' norm bound
+    of the depth-scaled terms above."""
+    length = ws.provider.length
+    first = length * math.prod(float(np.linalg.norm(f, 2)) for f in ws.ops.magnitude)
+    return [[first] + [length ** (k + 1) * oracle._norm_bound(terms[k])
+                       for k in range(1, len(terms))]
+            for terms in ws.provider.pieces]
+
+
+@pytest.mark.parametrize("gain", [0.3, 1.0])
+def test_real_first_piece_matches_complex_recurrence(gain):
+    # one piece with real terms, which the recurrence runs in real
+    # arithmetic; the textbook recurrence runs in complex
+    cfg = thin_reference_config(gain)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 9, 8))
+    assert len(ws.provider.pieces) == 1
+    assert not any(np.iscomplexobj(blk) for terms in ws.provider.pieces[0] for blk in terms)
+    [(U, V)], info = oracle._taylor_blocks(ws)
+    U_ref, V_ref = _taylor_textbook(ws, info["terms"])
+    scale = max(float(np.max(np.abs(blk))) for blk in U_ref + V_ref)
+    assert _max_diff(U + V, U_ref + V_ref) <= 1e-14 * scale
+    # the count and its tail follow from the norms alone: the piece starts
+    # from U = 1 and W = 0, of norm 1, and no piece follows it
+    [norms] = _majorant_norms(ws)
+    target = oracle.DEPTH_TOL * min(1.0, math.expm1(oracle._majorant_exponent(norms)))
+    terms, tail = oracle._taylor_term_count(norms, target)
+    assert info["piece_terms"] == [info["terms"]] == [terms]
+    assert info["error_bound"] == tail
+
+
+def test_piece_terms_count_each_piece():
+    # the shipped config on its own 8x8x8 grid: two pieces, whose counts
+    # differ; the first starts from norm 1 with the second's growth after it
+    cfg = load_config_file(SHIPPED_CONFIG)
+    ws = oracle.GridWorkspace(FieldKernels(cfg), thin_reference_grid(cfg, 8, 8))
+    _, info = oracle._taylor_blocks(ws)
+    norms = _majorant_norms(ws)
+    exponents = [oracle._majorant_exponent(n) for n in norms]
+    target = oracle.DEPTH_TOL * min(1.0, math.expm1(sum(exponents)))
+    first, _ = oracle._taylor_term_count(norms[0], target / (2 * math.exp(exponents[1])))
+    assert info["steps"] == len(info["piece_terms"]) == 2
+    assert info["piece_terms"][0] == first
+    assert info["piece_terms"][1] != first
+    assert info["terms"] == max(info["piece_terms"])
 
 
 def plain_spaces(monkeypatch):
@@ -784,6 +846,10 @@ def test_symmetry_engine_equals_plain(monkeypatch):
     # grid in both spaces, which the two evaluation orders share only to
     # rounding
     assert sym.constraint_defect == pytest.approx(plain.constraint_defect, rel=0, abs=1e-13)
+    # the block Frobenius norm counts the paired block twice, so both spaces
+    # sum the same grid matrix: 8.138470e-11 and 8.138480e-11
+    assert sym.info["identity_frobenius"] == pytest.approx(plain.info["identity_frobenius"],
+                                                           rel=1e-4, abs=0.0)
 
 
 def test_symmetry_engine_equals_plain_thick_crystal(monkeypatch):

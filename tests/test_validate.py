@@ -58,13 +58,16 @@ def rows():
 
 def test_bogoliubov_row_reports_step_count_and_estimate(rows):
     row = rows["Bogoliubov constraint (gain 0.2, grid 9x9x9)"]
-    match = re.fullmatch(r"Taylor (\d+) terms, tail bound (\S+) \(tol (\S+)\)", row.note)
+    match = re.fullmatch(r"Taylor (\d+) terms, tail bound (\S+) \(tol (\S+)\), "
+                         r"identity Frobenius norm (\S+) on the blocks", row.note)
     assert match, row.note
     terms = int(match.group(1))
-    bound, tol = map(float, match.groups()[1:])
+    bound, tol, frobenius = map(float, match.groups()[1:])
     assert terms == 9
     assert tol == oracle.DEPTH_TOL and bound <= tol
     assert row.value < 1e-10
+    # the Frobenius norm bounds the largest grid entry, the row's value
+    assert row.value <= frobenius < 1e-9
 
 
 def test_quadrature_rows_report_achieved_error(rows):
