@@ -162,9 +162,18 @@ class FieldKernels:
 
     def bilinear_kernel(self, K1, K2, omega1, omega2, z=0.0):
         """Pair-creation kernel between two down-converted modes at depth z:
-        ``pair_phase * bilinear_magnitude * exp(i z phase_mismatch)``."""
-        phase = np.exp(1j * z * self.phase_mismatch(K1, K2, omega1, omega2))
-        return self.pair_phase * self.bilinear_magnitude(K1, K2, omega1, omega2) * phase
+        ``pair_phase * bilinear_magnitude * exp(i z phase_mismatch)``.
+
+        At a scalar z = 0 the phase factor is exactly 1, so neither the
+        mismatch nor the complex exponential is evaluated: one 48³ kernel
+        of the zero-depth pair contraction in ``validate`` takes 2.6 ms
+        against 6.7 ms with them (2-core Xeon, minimum of 15).  The values
+        are unchanged, except that a real part the unit factor made +0 may
+        now read -0."""
+        kernel = self.pair_phase * self.bilinear_magnitude(K1, K2, omega1, omega2)
+        if np.ndim(z) == 0 and z == 0:
+            return kernel
+        return kernel * np.exp(1j * z * self.phase_mismatch(K1, K2, omega1, omega2))
 
     def bilinear_magnitude(self, K1, K2, omega1, omega2):
         """|bilinear_kernel|; z-independent and elementwise positive."""

@@ -2,12 +2,14 @@
 
 Output is deterministic, so identical runs produce byte-identical files.
 ``write_csv`` takes one column per header field: a ``str`` column is written
-as it is, any other as float64 by ``format_number`` (``f"{v:.12g}"``, also
-``nan``, ``inf``, ``-inf``, ``-0``), once per distinct bit pattern.  Each
-formatted value carries its separator (``,``, or a newline after the last
-field), so each block of rows is one ``"".join`` over a (rows, fields)
-array of strings.  The bytes are those of the row-by-row writer, which the tests
-keep as ``per_row_reference``.  ``read_csv_blocks`` reads the header
+as it is, except that a cell holding ``,``, ``"`` or a line break is quoted
+as RFC 4180 and ``csv.reader`` expect; any other column is written as
+float64 by ``format_number`` (``f"{v:.12g}"``, also ``nan``, ``inf``,
+``-inf``, ``-0``), once per distinct bit pattern.  Each formatted value
+carries its separator (``,``, or a newline after the last field), so each
+block of rows is one ``"".join`` over a (rows, fields) array of strings.
+Without such cells the bytes are those of the row-by-row writer, which
+the tests keep as ``per_row_reference``.  ``read_csv_blocks`` reads the header
 line and then one block of rows at a time from the open file with
 ``np.loadtxt``; ``read_csv`` joins its blocks into the header and a 2-D
 float array.  A file either cannot read is named with its first bad line,
@@ -30,11 +32,19 @@ def format_number(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _quote(cell: str) -> str:
+    """A string cell as RFC 4180 writes it: quoted, with its quotes doubled,
+    when it holds a separator, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _format_column(column, end: str) -> np.ndarray:
     """The column's fields as an object array of strings, each ending in ``end``."""
     values = np.asarray(column)
     if values.dtype.kind == "U":
-        return np.array([v + end for v in values.tolist()], dtype=object)
+        return np.array([_quote(v) + end for v in values.tolist()], dtype=object)
     bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
     text = np.array([format_number(v) + end for v in bits.view(np.float64).tolist()],
                     dtype=object)

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import tracemalloc
@@ -77,6 +78,17 @@ def per_row_reference(header, rows) -> bytes:
     lines = [",".join(header)]
     lines += [",".join(v if isinstance(v, str) else number(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_csv_quotes_string_cells_that_hold_separators(tmp_path):
+    names = ["plain", "a, b", 'say "hi"', "two\nlines", "cr\rhere", ""]
+    values = np.arange(len(names), dtype=float)
+    path = write_csv(tmp_path / "q.csv", ["name", "value"], [names, values])
+    with open(path, newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["name", "value"]] + [[n, f"{v:.12g}"] for n, v in zip(names, values)]
+    # a cell without a separator, quote or line break is written as it is
+    assert path.read_text().startswith('name,value\nplain,0\n"a, b",1\n"say ""hi""",2\n')
 
 
 SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]

@@ -106,6 +106,31 @@ def test_bilinear_magnitude_depth_independent(combined_cfg):
     assert np.allclose(h0, kern.bilinear_magnitude(K1, K2, w1, w2))
 
 
+def test_bilinear_kernel_at_zero_depth_skips_the_phase(combined_cfg, monkeypatch):
+    kern = FieldKernels(combined_cfg)
+    rng = np.random.default_rng(4)
+    K1 = rng.normal(scale=1e4, size=(5, 1, 2))
+    K2 = rng.normal(scale=1e4, size=(1, 7, 2))
+    w1 = kern.q.omega_deg + rng.normal(scale=1e11, size=(5, 1))
+    w2 = kern.q.omega_deg + rng.normal(scale=1e11, size=(1, 7))
+    ref = kern.pair_phase * kern.bilinear_magnitude(K1, K2, w1, w2)
+    # the full formula: exp(0) = 1, so the values are those without the phase
+    phased = ref * np.exp(1j * 0.0 * kern.phase_mismatch(K1, K2, w1, w2))
+    assert np.array_equal(phased, ref)
+    assert np.array_equal(kern.bilinear_kernel(K1, K2, w1, w2, np.zeros((5, 7))), ref)
+    assert not np.allclose(kern.bilinear_kernel(K1, K2, w1, w2, 1e-3), ref, atol=0.0)
+
+    def fail(*args):
+        raise AssertionError("phase_mismatch evaluated at zero depth")
+
+    monkeypatch.setattr(kern, "phase_mismatch", fail)
+    for z in (0.0, 0, -0.0, np.zeros(())):
+        h0 = kern.bilinear_kernel(K1, K2, w1, w2, z)
+        assert h0.shape == (5, 7)
+        assert h0.tobytes() == ref.tobytes()
+    assert np.shape(kern.bilinear_kernel(K1[0, 0], K2[0, 0], w1[0, 0], w2[0, 0])) == ()
+
+
 def test_bilinear_symmetric(combined_cfg):
     kern = FieldKernels(combined_cfg)
     q = kern.q

@@ -714,9 +714,11 @@ def test_depth_integrators_hold_one_block_at_a_time(integrator):
     # Traced peak above the result, in arrays of the largest block: 12.3
     # for the RK4 and 10.3 for the series integrating one block at a time;
     # 21.1 and 21.4 when every depth formed H(z) for all blocks at once.
-    # The recurrence keeps 2 x 10 coefficients of the largest block: 16.2
-    # with the real histories of the one piece, 30.1 with complex ones,
-    # which alone take the 20 arrays of its bound.
+    # The recurrence keeps 2 x 10 coefficients of the largest block: 14.0
+    # with the real histories of the one piece and no block start kept
+    # beside them (the first piece writes U = 1 into its history), 16.2
+    # with every block's identity and zero start kept for the whole piece,
+    # 30.1 with complex histories.
     cfg = thin_reference_config(0.3)
     kern = FieldKernels(cfg)
     grid = thin_reference_grid(cfg, 9, 8)
@@ -728,7 +730,7 @@ def test_depth_integrators_hold_one_block_at_a_time(integrator):
     run, arrays = {
         "rk4": (lambda: oracle._rk4_blocks(ws, 64), 16),
         "series": (lambda: oracle.series_UV(kern, grid, order=4, z_nodes=9, workspace=ws), 16),
-        "taylor": (lambda: oracle._taylor_blocks(ws), 20),
+        "taylor": (lambda: oracle._taylor_blocks(ws), 15),
     }[integrator]
     tracemalloc.start()
     try:
@@ -922,6 +924,19 @@ def dense_hyperbolic(kern, grid):
     return (evecs * np.cosh(evals)) @ evecs.T, (evecs * np.sinh(evals)) @ evecs.T
 
 
+def dense_rows_hyperbolic(kern, grid, indices):
+    """cosh/sinh sub-blocks from the selected rows of the Kronecker
+    eigenvector matrix and two dense products, the formula the per-axis
+    contraction replaced."""
+    mx, my, mw = oracle._magnitude_factors(kern, grid)
+    half_length = 0.5 * kern.cfg.crystal.length
+    (lx, qx), (ly, qy), (lw, qw) = (np.linalg.eigh(f) for f in (mx, my, half_length * mw))
+    evals = np.einsum("i,j,k->ijk", lx, ly, lw).ravel()
+    ix, iy, iw = np.unravel_index(indices, grid.shape)
+    rows = np.einsum("ai,aj,ak->aijk", qx[ix], qy[iy], qw[iw]).reshape(ix.size, -1)
+    return (rows * np.cosh(evals)) @ rows.T, (rows * np.sinh(evals)) @ rows.T
+
+
 def assert_hyperbolic_close(got, ref, rtol=1e-12):
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= rtol * np.max(np.abs(r))
@@ -932,7 +947,9 @@ def test_hyperbolic_matrix_matches_dense_rectangular_grid():
     cfg = narrowband_reference_config(0.4)
     grid = rectangular_grid(cfg)
     kern = FieldKernels(cfg)
-    assert_hyperbolic_close(oracle.hyperbolic_matrix_uv(kern, grid), dense_hyperbolic(kern, grid))
+    got = oracle.hyperbolic_matrix_uv(kern, grid)
+    assert_hyperbolic_close(got, dense_hyperbolic(kern, grid))
+    assert_hyperbolic_close(got, dense_rows_hyperbolic(kern, grid, np.arange(grid.size)))
 
 
 def test_hyperbolic_matrix_matches_dense_single_omega():
@@ -953,6 +970,44 @@ def test_hyperbolic_subblock_matches_dense_scattered_indices():
         oracle.hyperbolic_uv_subblock(kern, grid, idx),
         (cosh[np.ix_(idx, idx)], sinh[np.ix_(idx, idx)]),
     )
+
+
+def test_hyperbolic_subblock_matches_dense_rows_unsorted_repeated_axes():
+    cfg = narrowband_reference_config(0.4)
+    kern = FieldKernels(cfg)
+    grid = rectangular_grid(cfg)
+    # unsorted modes that share kx, ky and omega values with one another,
+    # and whose axis values do not form a product
+    idx = np.random.default_rng(11).choice(grid.size, size=60, replace=False)
+    ix, iy, iw = np.unravel_index(idx, grid.shape)
+    assert np.any(np.diff(idx) < 0)
+    assert all(np.unique(i).size < idx.size for i in (ix, iy, iw))
+    assert np.unique(ix).size * np.unique(iy).size * np.unique(iw).size > idx.size
+    assert_hyperbolic_close(oracle.hyperbolic_uv_subblock(kern, grid, idx),
+                            dense_rows_hyperbolic(kern, grid, idx))
+
+
+def test_hyperbolic_subblock_forms_no_mode_by_grid_array():
+    # the validate check's block: 225 of the 17x17x21 modes.  Its eigenvector
+    # rows alone are 225 x 6069 floats (10.9 MB), and the dense-rows formula
+    # peaked at 22.7 MB; summed per axis it peaks at 1.5 MB, inside four
+    # times its two 0.4 MB results
+    cfg = narrowband_reference_config()
+    kern = FieldKernels(cfg)
+    q, p = kern.q, cfg.pump
+    grid = oracle.build_grid(9.0 / p.waist, 17, q.omega_deg, 8.0 * p.bandwidth, 21, cfg=cfg)
+    idx = np.where((np.abs(grid.K[:, 0]) <= 2.9 / p.waist)
+                   & (np.abs(grid.K[:, 1]) <= 2.9 / p.waist)
+                   & (np.abs(grid.omega - q.omega_deg) <= 3.7 * p.bandwidth))[0]
+    assert idx.size == 225
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        oracle.hyperbolic_uv_subblock(kern, grid, idx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 * idx.size**2 * 8
 
 
 axis_count = st.sampled_from([1, 8, 9, 10, 11, 12])

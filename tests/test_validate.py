@@ -1,6 +1,7 @@
 """Validation-table integration: the CLI `validate` subcommand on the
 standard configuration must pass every check and exit 0."""
 
+import csv
 import math
 import re
 import tracemalloc
@@ -40,12 +41,16 @@ def test_validate_cli_all_pass(tmp_path, capsys, monkeypatch):
         code = main(["--outdir", str(tmp_path), "validate", "--config", str(path)])
     out = capsys.readouterr().out
     assert "checks passed" in out
-    lines = (tmp_path / "validate.csv").read_text().splitlines()
-    assert lines[0] == "check,value,tolerance,passed,seconds"
-    names = [ln.rsplit(",", 4)[0] for ln in lines[1:]]
+    with open(tmp_path / "validate.csv", newline="", encoding="ascii") as fh:
+        reader = csv.DictReader(fh)
+        table = list(reader)
+    assert reader.fieldnames == ["check", "value", "tolerance", "passed", "seconds"]
+    # DictReader files surplus fields under None and fills missing ones with None
+    assert all(None not in row and None not in row.values() for row in table)
+    names = [row["check"] for row in table]
     assert len(names) == len(set(names)) == 16
-    flags = [float(ln.rsplit(",", 2)[-2]) for ln in lines[1:]]
-    assert all(f == 1.0 for f in flags), out
+    assert "Bogoliubov constraint (gain 0.2, grid 9x9x9)" in names
+    assert all(float(row["passed"]) == 1.0 for row in table), out
     assert depths == [1, 1, 24], depths
     assert not caught, [str(w.message) for w in caught]
     assert code == 0
