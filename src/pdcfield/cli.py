@@ -5,7 +5,6 @@ and the validation table, emitting CSV files and optional SVG plots.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -14,14 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config_file, with_overrides
-from .kernels import FieldKernels, _PIXEL_BLOCK
+from .kernels import FieldKernels
 from .stimulated import zeta_orders, zeta_branches, efficiency_f
 from .background import background_radial
 from .fitting import (
     FIT_PARAMETERS, ForwardModel, IntensityImage, checked_exposure, combined_intensity,
     synthesize_image, fit_parameters,
 )
-from .plotio import write_csv, read_csv_blocks, render_plot
+from .plotio import write_csv, read_csv, render_plot
 from .validate import run_validation
 
 USAGE_ERROR = 2
@@ -211,66 +210,38 @@ IMAGE_LAYOUT = ("one row per pixel, y-major with x varying fastest, the same x v
 
 
 def _read_image(path, exposure: float = 1.0) -> IntensityImage:
-    """The frame of an image CSV in the layout `image` writes, read and checked
-    one block of rows at a time.
+    """The frame of an image CSV in the layout `image` writes, read by one
+    ``read_csv`` and checked on the whole table.
 
-    Only the two axes and the counts are kept.  The first change of y ends
-    the first image row and fixes x; each block is then checked as it
-    arrives against x repeated from its first row's place in an image row,
-    with y changing exactly where an image row begins and increasing there,
-    so a layout break anywhere in the file is a usage error.  On a 2-core
-    Xeon, for a 512² frame, the tracemalloc peak is 5.6 MB (the counts
-    twice as they are joined, and one block) against 8.7 MB for the whole
-    (pixels, 3) table, and the read takes 71-75 ms against 86-91 ms
-    (minimum and median of 11, in a process that has run fits; 69 against
-    54 ms, minimum of 15, in one that only reads).
+    The first change of y ends the first image row and fixes its width nx.
+    The table, reshaped to (rows, nx), must repeat the first row's x in
+    every image row and hold y constant along each, with both axes strictly
+    increasing, so a layout break anywhere in the file is a usage error.
+    The axes and a copy of the counts are kept and the table is dropped.
+    On a 2-core Xeon, for a 512² frame, the tracemalloc peak is 8.7 MB (the
+    table and the counts) and the read takes 61 ms, against 5.6 MB and 76
+    ms read and checked block by block (minimum of 9); at 1024², 34.6 MB
+    and 255 ms against 19.0 MB and 309 ms.  Either peak stays below the
+    fit's basis build (13.1 and 38.3 MB).
     """
-    layout = ConfigError(f"{path}: expected {IMAGE_LAYOUT}")
-    row_y, counts, done = [], [], 0  # y of each image row, counts, rows checked
-
-    def take(rows):
-        nonlocal done
-        start, xs, ys = done % x.size, rows[:, 0], rows[:, 1]
-        begins = row_begins[start:start + len(rows)]
-        chain = np.concatenate([row_y[-1][-1:] if row_y else [], ys[begins]])
-        if not (np.array_equal(xs, x_tiled[start:start + len(rows)])
-                and np.array_equal(ys[1:] != ys[:-1], begins[1:])
-                and np.all(chain[1:] > chain[:-1])
-                and (not start or ys[0] == chain[0])):
-            raise layout
-        row_y.append(ys[begins])
-        counts.append(rows[:, 2].copy())
-        done += len(rows)
-
-    with contextlib.closing(read_csv_blocks(path)) as blocks:
-        try:
-            if next(blocks) != ["x_mm", "y_mm", "intensity"]:
-                raise ConfigError(f"{path}: expected header x_mm,y_mm,intensity")
-            x = head = None  # head: the rows before the first change of y
-            for rows in blocks:
-                if x is None:
-                    head = rows if head is None else np.concatenate([head, rows])
-                    nx = int(np.argmax(head[:, 1] != head[0, 1]))
-                    if not nx:
-                        continue
-                    x, rows, head = head[:nx, 0].copy(), head, None
-                    # x and the image-row starts, over any block's span of rows
-                    repeats = _PIXEL_BLOCK // nx + 2
-                    x_tiled, row_begins = np.tile(x, repeats), np.tile(np.arange(nx) == 0, repeats)
-                take(rows)
-            if x is None:  # one image row
-                x, rows = head[:, 0], head
-                x_tiled, row_begins = x, np.arange(x.size) == 0
-                take(rows)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if done % x.size or not np.all(x[1:] > x[:-1]):
-        raise layout
-    y = np.concatenate(row_y)
+    try:
+        header, table = read_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if header != ["x_mm", "y_mm", "intensity"]:
+        raise ConfigError(f"{path}: expected header x_mm,y_mm,intensity")
+    ys = table[:, 1]
+    nx = int(np.argmax(ys != ys[0])) or ys.size  # the first row where y changes
+    if ys.size % nx:
+        raise ConfigError(f"{path}: expected {IMAGE_LAYOUT}")
+    grid = table.reshape(ys.size // nx, nx, 3)
+    x, y = grid[0, :, 0], grid[:, 0, 1]
+    if not (np.all(grid[:, :, 0] == x) and np.all(grid[:, :, 1] == y[:, None])
+            and np.all(x[1:] > x[:-1]) and np.all(y[1:] > y[:-1])):
+        raise ConfigError(f"{path}: expected {IMAGE_LAYOUT}")
     try:
         return IntensityImage(x=x * 1e-3, y=y * 1e-3,
-                              values=np.concatenate(counts).reshape(y.size, x.size),
-                              exposure=exposure)
+                              values=np.ascontiguousarray(grid[:, :, 2]), exposure=exposure)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

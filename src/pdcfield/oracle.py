@@ -1115,12 +1115,14 @@ def hyperbolic_uv_subblock(kern: FieldKernels, grid: ModeGrid, indices: np.ndarr
 
     The sum is taken one axis at a time, over the distinct axis indices
     the selection uses: three small contractions give f on the product of
-    those indices, and the selected rows and columns are gathered from it.
+    those indices, and the selected rows and columns are gathered from it,
+    unless the selection is that product in order, as on a whole grid.
     Neither the grid matrix nor any (modes x grid) array of eigenvector
     rows is formed.  On the validate block (225 of 17x17x21 modes, itself
-    a product) this takes 1.2 ms and 1.5 MB against 17 ms and 23 MB for
-    the eigenvector rows and two dense products; on the whole 9x9x9 grid
-    5.5 against 14 ms (2-core Xeon, minimum of 15).
+    a product in order) this takes 0.8 ms and 1.5 MB against 17 ms and 23
+    MB for the eigenvector rows and two dense products; on the whole 9x9x9
+    grid 5.8 against 14 ms, and 8.3 ms with the gather (2-core Xeon,
+    minimum of 30).
     """
     # half the depth-integrated magnitude: the omega factor carries L / 2
     mx, my, mw = _magnitude_factors(kern, grid)
@@ -1134,13 +1136,14 @@ def hyperbolic_uv_subblock(kern: FieldKernels, grid: ModeGrid, indices: np.ndarr
     px, py, pw = (np.einsum("ai,bi->iab", q[u], q[u]) for q, u in ((qx, ux), (qy, uy), (qw, uw)))
     n = ux.size * uy.size * uw.size
     place = (rx * uy.size + ry) * uw.size + rw
+    identity = np.array_equal(place, np.arange(n))  # the product in order
     out = []
     for f in (np.cosh, np.sinh):
         t = np.tensordot(f(evals), pw, axes=(2, 0))  # (i, j, c, c')
         t = np.tensordot(py, t, axes=(0, 1))  # (b, b', i, c, c')
         t = np.tensordot(px, t, axes=(0, 2))  # (a, a', b, b', c, c')
-        t = t.transpose(0, 2, 4, 1, 3, 5).reshape(n, n)
-        out.append(t[np.ix_(place, place)])
+        t = t.transpose(0, 2, 4, 1, 3, 5).reshape(n, n)  # a new array
+        out.append(t if identity else t[np.ix_(place, place)])
     return tuple(out)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdcfield.cli import IMAGE_LAYOUT, main, _read_image
 from pdcfield.config import ConfigError, load_config_file
-from pdcfield import plotio
+from pdcfield import cli, plotio
 from pdcfield.fitting import ForwardModel, synthesize_image
 from pdcfield.kernels import _PIXEL_BLOCK
 from pdcfield.plotio import write_csv, read_csv, render_plot
@@ -601,6 +601,36 @@ def test_bad_line_in_a_later_block_is_named(tmp_path, fault):
         read_csv(path)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: line {number}: ")):
         _read_image(path)
+
+
+def test_fit_reads_the_image_csv_once(tmp_path, config_path, monkeypatch):
+    # cli.read_csv is among the objects the bench tracer wraps for plotio.read_csv_s
+    assert main(["--outdir", str(tmp_path), "image", "--config", config_path,
+                 "--nx", "48", "--ny", "16", "--exposure", "40", "--no-svg"]) == 0
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_csv(path)
+
+    monkeypatch.setattr(cli, "read_csv", counted)
+    assert main(["--outdir", str(tmp_path), "fit", "--config", config_path,
+                 "--image", str(tmp_path / "image.csv"), "--exposure", "40", "--no-svg"]) == 0
+    assert len(calls) == 1
+
+
+def test_read_image_memory_stays_below_the_basis_build(tmp_path):
+    # a 512² frame: the (pixels, 3) table (6.3 MB) and the counts (2.1 MB)
+    # peak near 8.7 MB, below the fit's 13.1 MB basis build
+    path = _image_table(tmp_path / "image.csv", 512, 512)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _read_image(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_layout_break_past_the_first_block_usage_error(tmp_path, config_path, capsys):

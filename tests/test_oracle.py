@@ -987,6 +987,20 @@ def test_hyperbolic_subblock_matches_dense_rows_unsorted_repeated_axes():
                             dense_rows_hyperbolic(kern, grid, idx))
 
 
+def test_hyperbolic_matrix_equals_shuffled_whole_grid_subblock():
+    # the whole grid in order skips the gather; a shuffled whole selection
+    # takes it, from the same product matrix, so the two agree bit for bit
+    cfg = narrowband_reference_config(0.4)
+    kern = FieldKernels(cfg)
+    grid = rectangular_grid(cfg)
+    perm = np.random.default_rng(3).permutation(grid.size)
+    order = np.argsort(perm)
+    whole = oracle.hyperbolic_matrix_uv(kern, grid)
+    shuffled = oracle.hyperbolic_uv_subblock(kern, grid, perm)
+    for w, s in zip(whole, shuffled):
+        assert np.array_equal(w, s[np.ix_(order, order)])
+
+
 def test_hyperbolic_subblock_forms_no_mode_by_grid_array():
     # the validate check's block: 225 of the 17x17x21 modes.  Its eigenvector
     # rows alone are 225 x 6069 floats (10.9 MB), and the dense-rows formula
